@@ -1,9 +1,9 @@
 """Setuptools shim.
 
-The environment has no ``wheel`` package (and no network access to fetch it),
-so PEP 660 editable installs fail with "invalid command 'bdist_wheel'".  This
-shim lets ``pip install -e .`` fall back to the legacy ``setup.py develop``
-editable install.  All project metadata lives in ``pyproject.toml``.
+All project metadata lives in ``pyproject.toml``.  Where ``pip install -e .``
+cannot build an editable wheel (a setuptools older than 70.1 without the
+``wheel`` package, and no network to fetch it), ``python setup.py develop``
+installs the same metadata through this shim.
 """
 
 from setuptools import setup

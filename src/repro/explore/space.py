@@ -20,8 +20,8 @@ Axes come in five kinds:
   (co-simulated against one shared memory);
 * the ``arbiter`` axis sweeps the memory arbitration policy
   (``tdma``, ``round_robin``, ``priority``);
-* the ``engine`` axis picks the execution engine (``reference``, ``fast``,
-  ``jit``); engines are bit-identical by the golden equivalence suite, but
+* the ``engine`` axis picks the execution engine (``reference`` or
+  ``fast``); engines are bit-identical by the golden equivalence suite, but
   the engine is still part of the cache key so sweeps never mix results;
 * the ``slot_cycles`` axis sweeps the TDMA slot length;
 * the ``slot_weights`` axis sweeps per-core TDMA slot weights, written as
@@ -141,9 +141,9 @@ class ExperimentSpec:
     wcet_overrides: tuple[tuple[str, Any], ...] = ()
     cores: int = 1
     arbiter: str = "tdma"
-    #: Execution engine for the simulated side ("reference" | "fast" |
-    #: "jit"); part of the content hash — results from different engines
-    #: must never alias in the cache even though they are required to agree.
+    #: Execution engine for the simulated side ("reference" | "fast");
+    #: part of the content hash — results from different engines must
+    #: never alias in the cache even though they are required to agree.
     engine: str = "fast"
     slot_cycles: Optional[int] = None
     slot_weights: Optional[tuple[int, ...]] = None
@@ -347,7 +347,7 @@ class ParameterSpace:
         )
 
 
-_ENGINES = ("reference", "fast", "jit")
+_ENGINES = ("reference", "fast")
 
 
 def _parse_engine(value) -> str:

@@ -93,8 +93,7 @@ class Image:
         guards and immediates), function and block placement, symbols, the
         entry point and the initial memory/scratchpad contents.  Two images
         hash equally iff a simulator cannot tell them apart, so the digest
-        keys caches that persist across processes (the generated-code cache
-        of :mod:`repro.sim.codegen`).  Memoised per image.
+        can key caches that persist across processes.  Memoised per image.
         """
         cached = self.__dict__.get("_content_hash")
         if cached is None:

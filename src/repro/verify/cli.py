@@ -36,6 +36,9 @@ from .harness import count_cells, run_conformance
 from .scenarios import (DEFAULT_ARBITERS, DEFAULT_RTOS_SCENARIOS,
                         DEFAULT_VARIANTS)
 
+#: Execution engines ``--engine`` (and a resumed run's journal) may name.
+ENGINES = ("reference", "fast")
+
 
 def _select(available, requested: Optional[str], what: str):
     """Filter a column tuple by a comma-separated name list."""
@@ -74,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-rtos", action="store_true",
                         help="skip the RTOS response-time soundness cells")
     parser.add_argument("--engine", default="fast",
-                        choices=("reference", "fast", "jit"),
+                        choices=ENGINES,
                         help="execution engine for the simulated side of "
                              "the matrix (default: fast); the report must "
                              "be identical across engines")
@@ -158,6 +161,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.arbiters = ",".join(matrix["arbiters"])
             args.no_rtos = bool(matrix.get("no_rtos", False))
             args.engine = matrix.get("engine", args.engine)
+            if args.engine not in ENGINES:
+                # The journal bypasses argparse's choices; reject here
+                # rather than in every cell.
+                raise ReproError(
+                    f"run {args.resume} records unknown engine "
+                    f"{args.engine!r}; available: {list(ENGINES)}")
         variants = _select(DEFAULT_VARIANTS, args.variants, "variant")
         arbiters = _select(DEFAULT_ARBITERS, args.arbiters, "arbiter")
         kernels = resolve_kernels(

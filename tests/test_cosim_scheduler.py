@@ -8,16 +8,9 @@ statistics and final shared-memory image must be *bit-identical* to the
 quantum-polling reference scheduler (``scheduler="reference"``).  The suite
 also covers the edge paths — halting order, ``max_bundles`` exhaustion,
 strict-mode runs, heterogeneous configurations and the engine fallback.
-
-The generated-code engine (``engine="jit"``) must hold the same property
-one level down: for every matrix cell its per-core metrics, arbiter
-statistics and final shared-memory image are bit-identical to the micro-op
-engine (which the scheduler matrix above pins to the reference), and on the
-heterogeneous mix it is checked directly against the quantum-polling
-reference interpreter.
+On the heterogeneous mix the event-driven fast engine is also checked
+directly against quantum polling of the reference interpreter.
 """
-
-import os
 
 import pytest
 
@@ -65,19 +58,6 @@ def images():
             for name in KERNEL_BUILDERS}
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _isolated_jit_cache(tmp_path_factory):
-    """One shared, isolated on-disk jit cache for the whole module."""
-    saved = os.environ.get("REPRO_JIT_CACHE_DIR")
-    os.environ["REPRO_JIT_CACHE_DIR"] = \
-        str(tmp_path_factory.mktemp("jitcache"))
-    yield
-    if saved is None:
-        os.environ.pop("REPRO_JIT_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_JIT_CACHE_DIR"] = saved
-
-
 def _run(images_for_cores, scheduler, arbiter_name, cores, strict=True,
          max_bundles=2_000_000, **extra):
     kwargs = _arbiter_kwargs(arbiter_name, cores)
@@ -106,8 +86,7 @@ def _assert_identical(images_for_cores, arbiter_name, cores, **extra):
     return event, reference
 
 
-def _assert_engines_identical(images_for_cores, arbiter_name, cores,
-                              runs=(("jit", "event"), ("fast", "event")),
+def _assert_engines_identical(images_for_cores, arbiter_name, cores, runs,
                               **extra):
     """Two (engine, scheduler) runs of one cell must be bit-identical."""
     (system_a, result_a), (system_b, result_b) = [
@@ -133,26 +112,15 @@ def test_schedulers_identical_across_core_counts(images, kernel,
         _assert_identical([image] * cores, arbiter_name, cores)
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_BUILDERS))
 @pytest.mark.parametrize("arbiter_name", ARBITER_NAMES)
-def test_jit_engine_identical_across_core_counts(images, kernel,
-                                                 arbiter_name):
-    """The generated-code engine agrees with the micro-op engine on every
-    matrix cell (which the scheduler matrix pins to the reference)."""
-    image = images[kernel]
-    for cores in CORE_COUNTS:
-        _assert_engines_identical([image] * cores, arbiter_name, cores)
-
-
-@pytest.mark.parametrize("arbiter_name", ARBITER_NAMES)
-def test_jit_engine_matches_reference_interpreter(images, arbiter_name):
-    """Direct jit-vs-interpreter check: the event-driven generated-code
+def test_event_cosim_matches_reference_interpreter(images, arbiter_name):
+    """Direct engine-vs-interpreter check: the event-driven fast-engine
     co-simulation against quantum polling of the reference interpreter."""
     mix = [images["vector_sum"], images["stream_checksum"],
            images["fir_filter"], images["saturate"]]
     _assert_engines_identical(
         mix, arbiter_name, 4,
-        runs=(("jit", "event"), ("reference", "reference")))
+        runs=(("fast", "event"), ("reference", "reference")))
 
 
 @pytest.mark.parametrize("arbiter_name", ARBITER_NAMES)

@@ -426,6 +426,25 @@ class TestCrashRecovery:
         assert first == baseline
         assert resumed == baseline
 
+    def test_verify_resume_rejects_unknown_recorded_engine(self, tmp_path,
+                                                           capsys):
+        from repro.verify import DEFAULT_VARIANTS
+        from repro.verify.cli import main
+
+        # The journal's engine bypasses argparse's --engine choices.
+        matrix = {"kernels": ["vector_sum"],
+                  "variants": [DEFAULT_VARIANTS[0].name],
+                  "arbiters": ["single"],
+                  "no_rtos": True, "engine": "jit"}
+        run = RunDirectory.create("verify", matrix, cells=1, root=tmp_path)
+        run.close()
+        code = main(["--resume", run.run_id, "--runs-root", str(tmp_path),
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "'jit'" in err
+        assert _journal_counts(run.journal_path, "running") == {}
+
     def test_interrupt_carries_resume_command(self, tmp_path):
         from repro.explore.runner import ExplorationRunner
         from repro.explore.space import ParameterSpace

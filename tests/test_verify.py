@@ -95,18 +95,17 @@ class TestHarness:
         assert "bound/obs" in report.table()
         assert "0 soundness violations" in report.summary()
 
-    def test_engine_choice_does_not_change_the_report(self, tmp_path,
-                                                      monkeypatch):
-        """The conformance verdicts are engine-independent: the jit-run
-        matrix must reproduce the fast-engine report outcome for outcome."""
-        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path / "jit"))
+    def test_engine_choice_does_not_change_the_report(self):
+        """The conformance verdicts are engine-independent: the
+        interpreter-run matrix must reproduce the fast-engine report
+        outcome for outcome."""
         reports = [run_conformance(kernels=["vector_sum"],
                                    arbiters=FAST_ARBITERS,
                                    rtos_scenarios=(), engine=engine)
-                   for engine in ("fast", "jit")]
-        fast, jit = [[outcome.to_dict() for outcome in report.outcomes]
-                     for report in reports]
-        assert fast == jit
+                   for engine in ("fast", "reference")]
+        fast, reference = [[outcome.to_dict() for outcome in report.outcomes]
+                           for report in reports]
+        assert fast == reference
 
     def test_simulations_shared_across_analysis_variants(self):
         harness = ConformanceHarness(config=CONFIG)
@@ -185,6 +184,12 @@ class TestCli:
     def test_invalid_jobs_rejected(self, capsys):
         assert main(["--kernels", "vector_sum", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_unknown_engine_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--kernels", "vector_sum", "--engine", "jit"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'jit'" in capsys.readouterr().err
 
 
 class TestParallelMatrix:
