@@ -31,8 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.jobs import (  # noqa: E402
     JobCell,
     Journal,
-    RetryPolicy,
-    replay_journal,
+    RunDirectory,
     run_jobs,
 )
 
@@ -88,32 +87,30 @@ def measure_overhead(work_dir: Path, cells: int, repeats: int) -> dict:
 def measure_recovery(work_dir: Path, cells: int, crash_after: int) -> dict:
     """Crash a sweep after ``crash_after`` committed cells; resume it."""
     load = _cells(cells)
-    journal_path = work_dir / "recovery.jsonl"
 
     # First epoch: the journal records a prefix of done cells, then the
     # "crash" (journal simply stops, exactly like a SIGKILL).
-    journal = Journal(journal_path)
-    run_jobs(load[:crash_after], synthetic_cell, journal=journal)
-    journal.close()
+    run = RunDirectory.create("bench_jobs", {"cells": cells}, cells=cells,
+                              root=work_dir)
+    run_jobs(load[:crash_after], synthetic_cell, run_dir=run)
+    run.close()
+    done_before = len(run.replay().done)
 
-    # Resume: replay decides what is pending; only that re-executes.
-    replay = replay_journal(journal_path)
-    pending = replay.pending([cell.key for cell in load])
-    resumed = [cell for cell in load if cell.key in set(pending)]
-    journal = Journal(journal_path)
-    outcome = run_jobs(resumed, synthetic_cell, journal=journal,
-                       policy=RetryPolicy())
-    journal.close()
+    # Resume through the sweeps' own path: run_jobs replays the journal and
+    # executes only the pending cells.
+    resumed = RunDirectory.open(run.run_id, root=work_dir)
+    outcome = run_jobs(load, synthetic_cell, run_dir=resumed, resume=True)
+    resumed.close()
 
-    final = replay_journal(journal_path)
+    final = resumed.replay()
     return {
         "cells": cells,
-        "done_before_crash": len(replay.done),
-        "re_executed": len(resumed),
-        "replayed": cells - len(resumed),
-        "all_done_after_resume": len(final.done) == cells,
-        "only_pending_re_executed": len(resumed) == cells - crash_after
-        and outcome.executed == len(resumed),
+        "done_before_crash": done_before,
+        "re_executed": outcome.executed,
+        "replayed": cells - outcome.executed,
+        "all_done_after_resume": len(final.done) == cells
+        and len(outcome.results) == cells,
+        "only_pending_re_executed": outcome.executed == cells - crash_after,
     }
 
 

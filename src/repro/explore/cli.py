@@ -25,7 +25,8 @@ import sys
 from typing import Optional, Sequence
 
 from ..errors import ReproError, SweepInterrupted
-from ..jobs import TIMEOUT_CLASSES, RunDirectory
+from ..jobs import TIMEOUT_CLASSES
+from ..jobs.cli import SweepSession
 from .cache import ResultCache
 from .pareto import DEFAULT_OBJECTIVES, Objective
 from .runner import ExplorationRunner
@@ -158,21 +159,10 @@ def _space_from_matrix(matrix: dict) -> ParameterSpace:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    run_dir = None
+    session = SweepSession("explore", args)
     try:
-        if args.resume is not None and not args.resume.strip():
-            # An empty id (e.g. a failed command substitution in CI) must
-            # not silently degrade into a fresh full sweep.
-            raise ReproError("--resume requires a run id")
-        if args.resume:
-            run_dir = RunDirectory.open(args.resume, root=args.runs_root)
-            meta = run_dir.meta
-            if meta.get("kind") != "explore":
-                raise ReproError(
-                    f"run {args.resume} is a {meta.get('kind')!r} run; "
-                    f"resume it with python -m repro.{meta.get('kind')}")
-            matrix = meta["matrix"]
-        else:
+        matrix = session.resumed_matrix()
+        if matrix is None:
             if not args.kernels:
                 print("error: --kernels is required unless --resume is "
                       "given", file=sys.stderr)
@@ -187,15 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache = None if args.no_cache else ResultCache(args.cache)
         runner = ExplorationRunner(jobs=args.jobs, cache=cache,
                                    timeout_class=args.timeout_class)
-        if args.resume:
-            run_dir.mark_resumed(len(space))
-            print(f"resuming run {run_dir.run_id}")
-        elif not args.no_journal:
-            run_dir = RunDirectory.create("explore", matrix,
-                                          cells=len(space),
-                                          root=args.runs_root)
-            print(f"run id: {run_dir.run_id} "
-                  f"(resume with --resume {run_dir.run_id})")
+        run_dir = session.start(matrix, cells=len(space))
         print(f"exploring {len(space)} design points "
               f"({len(space.kernels)} kernels x "
               f"{len(space) // max(len(space.kernels), 1)} configurations)")
@@ -219,16 +201,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
             return 2
     except SweepInterrupted as exc:
-        print(f"\ninterrupted: {exc}", file=sys.stderr)
-        if exc.resume_argv:
-            print(f"resume with: python -m repro.explore {exc.resume_argv}",
-                  file=sys.stderr)
-        return 130
+        return session.interrupted(exc)
     except (ReproError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
     finally:
-        if run_dir is not None:
-            run_dir.close()
+        session.close()
     return 0

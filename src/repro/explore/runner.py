@@ -14,8 +14,9 @@ regardless of completion order.
 Failures are *contained*: a design point that raises a library error — or
 whose pool worker dies outright — becomes a structured
 :class:`~repro.errors.FailedCell` record instead of aborting the sweep.
-Crashed workers are retried with capped backoff before being declared
-poisoned; every other cell still completes and is cached.
+Crashed workers are retried under the default
+:class:`~repro.jobs.RetryPolicy` before being declared poisoned; every
+other cell still completes and is cached.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Optional, Union
 
 from ..cmp.system import MulticoreSystem
 from ..compiler.passes import compile_and_link
-from ..errors import (ExplorationError, FailedCell, SweepInterrupted)
+from ..errors import ExplorationError, FailedCell
 from ..hw.pipeline import estimate_pipeline_timing
 from ..jobs import JobCell, RetryPolicy, RunDirectory, run_jobs
 from ..sim.cycle import CycleSimulator
@@ -258,15 +259,16 @@ def _check_output(spec: ExperimentSpec, observed: list[int],
             f"{observed[:4]}... differs from reference {expected[:4]}...")
 
 
-def _spec_worker(spec: ExperimentSpec) -> SpecResult:
+def _spec_worker(spec: ExperimentSpec) -> dict:
     """Pool entry point: one indirection through the module global.
 
     Workers call the *current* ``execute_spec`` binding rather than a
     pickled copy, so a forked child inherits any replacement installed in
     the parent — which is how the crash-containment tests plant a worker
-    that dies mid-cell.
+    that dies mid-cell.  The result travels as its record, which is also
+    the journal payload.
     """
-    return execute_spec(spec)
+    return execute_spec(spec).to_record()
 
 
 @dataclass
@@ -340,41 +342,20 @@ class ExplorationResult:
 class ExplorationRunner:
     """Execute a parameter space with optional parallelism and caching.
 
-    Cells execute through the shared :mod:`repro.jobs` engine under one
-    declarative :class:`~repro.jobs.RetryPolicy`: ``max_retries`` bounds how
-    often one cell is re-leased after its worker dies (a cell that keeps
-    killing workers is declared poisoned and recorded as a
-    :class:`~repro.errors.FailedCell`); ``retry_backoff_s`` is the base of
-    the deterministic capped exponential pause between crash-recovery
-    attempts, giving a transiently starved machine room to recover;
-    ``timeout_class`` names the per-cell wall-clock budget
-    (see :data:`repro.jobs.TIMEOUT_CLASSES`).
+    Cells execute through the shared :mod:`repro.jobs` engine under the
+    default :class:`~repro.jobs.RetryPolicy`: a cell whose worker dies is
+    re-leased until it has used ``max_attempts`` executions, then recorded
+    as a :class:`~repro.errors.FailedCell`.  ``timeout_class`` names the
+    per-cell wall-clock budget (see :data:`repro.jobs.TIMEOUT_CLASSES`).
     """
 
-    #: Longest pause between crash-recovery rounds, in seconds.
-    MAX_BACKOFF_S = 2.0
-
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 max_retries: int = 2, retry_backoff_s: float = 0.05,
                  timeout_class: str = "unbounded"):
         if jobs < 1:
             raise ExplorationError("jobs must be >= 1")
-        if max_retries < 0:
-            raise ExplorationError("max_retries must be >= 0")
-        if retry_backoff_s < 0:
-            raise ExplorationError("retry_backoff_s must be >= 0")
         self.jobs = jobs
         self.cache = cache
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         self.timeout_class = timeout_class
-
-    def policy(self) -> RetryPolicy:
-        """The declarative retry policy this runner executes under."""
-        return RetryPolicy(max_attempts=self.max_retries + 1,
-                           backoff_base_s=self.retry_backoff_s,
-                           backoff_cap_s=self.MAX_BACKOFF_S,
-                           timeout_class=self.timeout_class)
 
     def run(self, space: Union[ParameterSpace, Iterable[ExperimentSpec]],
             run_dir: Optional[RunDirectory] = None,
@@ -382,8 +363,8 @@ class ExplorationRunner:
         """Run every spec, recalling cached design points where possible.
 
         With a ``run_dir`` the sweep is durable: every cell state transition
-        lands in the run's journal, and ``resume=True`` replays it first so
-        cells recorded ``done`` are injected instead of re-executed (their
+        lands in the run's journal, and ``resume=True`` replays it so cells
+        recorded ``done`` are injected instead of re-executed (their
         journaled payload is the full result record, so a resumed report is
         byte-identical — modulo elapsed time — to an uninterrupted one).
         On SIGINT/SIGTERM the sweep drains gracefully and raises
@@ -393,15 +374,11 @@ class ExplorationRunner:
                  else list(space))
         started = time.perf_counter()
         results: list[Optional[SpecResult]] = [None] * len(specs)
-        failures: list[FailedCell] = []
-        pending: list[tuple[int, ExperimentSpec]] = []
-        #: Later indices whose spec resolves to the same content as an
-        #: earlier pending one (e.g. single-core points of an arbiter
-        #: sweep): simulated once, result (or failure) shared.
-        duplicates: dict[str, list[tuple[int, ExperimentSpec]]] = {}
-        pending_keys: set[str] = set()
+        #: Content key -> every (index, spec) requesting it.  Specs that
+        #: resolve to the same content (e.g. single-core points of an
+        #: arbiter sweep) run once; the first one's label names the cell.
+        pending: dict[str, list[tuple[int, ExperimentSpec]]] = {}
         hits = 0
-
         for index, spec in enumerate(specs):
             key = spec.key()
             record = self.cache.get(key) if self.cache else None
@@ -409,36 +386,16 @@ class ExplorationRunner:
                 results[index] = self._labelled(
                     SpecResult.from_record(record), spec)
                 hits += 1
-            elif key in pending_keys:
-                duplicates.setdefault(key, []).append((index, spec))
             else:
-                pending.append((index, spec))
-                pending_keys.add(key)
+                pending.setdefault(key, []).append((index, spec))
 
-        index_of = {spec.key(): index for index, spec in pending}
-
-        def apply_result(result: SpecResult) -> None:
-            results[index_of[result.key]] = result
-            for dup_index, dup_spec in duplicates.get(result.key, ()):
-                # Shared with a point executed in this very run, so it is
-                # not a cache recall.
-                results[dup_index] = self._labelled(
-                    SpecResult.from_record(result.to_record(),
-                                           from_cache=False), dup_spec)
+        def apply_result(cell: JobCell, record: dict) -> None:
+            # Executed (or replayed) in this very run, so not a cache recall.
+            for index, spec in pending[cell.key]:
+                results[index] = self._labelled(
+                    SpecResult.from_record(record, from_cache=False), spec)
             if self.cache is not None:
-                self.cache.put(result.key, result.to_record())
-
-        replay = run_dir.replay() if (run_dir is not None and resume) \
-            else None
-        to_run: list[tuple[int, ExperimentSpec]] = []
-        for index, spec in pending:
-            key = spec.key()
-            if replay is not None and replay.done.get(key) is not None:
-                apply_result(self._labelled(
-                    SpecResult.from_record(replay.done[key],
-                                           from_cache=False), spec))
-            else:
-                to_run.append((index, spec))
+                self.cache.put(cell.key, record)
 
         # Cache every completed design point as it arrives and persist even
         # when the sweep is interrupted, so a re-run is incremental.  Failed
@@ -446,44 +403,27 @@ class ExplorationRunner:
         # actually re-execute them.
         try:
             outcome = run_jobs(
-                [JobCell(key=spec.key(), label=spec.label(), payload=spec)
-                 for _, spec in to_run],
-                _spec_worker, jobs=self.jobs, policy=self.policy(),
-                journal=run_dir.journal() if run_dir is not None else None,
+                [JobCell(key=key, label=requests[0][1].label(),
+                         payload=requests[0][1])
+                 for key, requests in pending.items()],
+                _spec_worker, jobs=self.jobs,
+                policy=RetryPolicy(timeout_class=self.timeout_class),
+                run_dir=run_dir, resume=resume,
                 contain=lambda error: error.is_repro,
-                encode=lambda result: result.to_record(),
-                on_result=lambda cell, result: apply_result(result))
-            for cell in outcome.failures:
-                failures.append(cell)
-                failures.extend(
-                    replace(cell, label=dup_spec.label())
-                    for _, dup_spec in duplicates.get(cell.key, ()))
+                on_result=apply_result)
         finally:
             if self.cache is not None:
                 self.cache.save()
 
-        if outcome.interrupted:
-            raise self._interrupted(run_dir)
-
         return ExplorationResult(
             results=[result for result in results if result is not None],
-            failures=failures,
+            failures=[replace(failure, label=spec.label())
+                      for failure in outcome.failures
+                      for _, spec in pending[failure.key]],
             cache_hits=hits,
             cache_misses=len(pending),
             elapsed_s=time.perf_counter() - started,
         )
-
-    @staticmethod
-    def _interrupted(run_dir: Optional[RunDirectory]) -> SweepInterrupted:
-        if run_dir is None:
-            return SweepInterrupted(
-                "sweep interrupted; completed cells are cached but the run "
-                "was not journaled (no run directory)")
-        resume_argv = f"--resume {run_dir.run_id}"
-        return SweepInterrupted(
-            f"sweep interrupted; journal flushed — resume with: "
-            f"python -m repro.explore {resume_argv}",
-            run_id=run_dir.run_id, resume_argv=resume_argv)
 
     @staticmethod
     def _labelled(result: SpecResult, spec: ExperimentSpec) -> SpecResult:

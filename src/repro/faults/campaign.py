@@ -17,6 +17,10 @@ Same seed ⇒ same plans, same fault logs, same outcomes: the report carries
 a determinism hash over all cell logs so two runs can be compared byte for
 byte (the CI smoke gate and ``repro.verify --faults``).
 
+The cells (journal keys ``faults/<kernel>/<cores>/<arbiter>``) run through
+:func:`repro.jobs.run_jobs`, so a campaign runs on a worker pool and
+resumes from its run directory like the conformance matrix.
+
 The heavyweight imports (compiler, CMP, WCET) happen inside the entry
 points: :mod:`repro.cmp.system` imports this package for the plan types, so
 importing them lazily keeps the package import acyclic.
@@ -24,17 +28,23 @@ importing them lazily keeps the package import acyclic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ..errors import FaultInjectionError
+from ..jobs import JobCell, RunDirectory, run_jobs
 from .plan import FaultPlan
 
 #: Default kernel set of a campaign: small, quick kernels covering loop,
 #: branchy and call-heavy control flow.
 DEFAULT_KERNELS = ("vector_sum", "checksum", "saturate")
+#: Default core counts and arbiters of a campaign.
+DEFAULT_CORES = (2, 4)
+DEFAULT_ARBITERS = ("tdma",)
 
 
 @dataclass
@@ -87,6 +97,12 @@ class CampaignCell:
             "violations": self.violations,
             "error": self.error,
         }
+
+    @classmethod
+    def from_dict(cls, record: dict) -> "CampaignCell":
+        """Inverse of :meth:`to_dict` (the derived ``violations`` dropped)."""
+        return cls(**{key: value for key, value in record.items()
+                      if key != "violations"})
 
 
 @dataclass
@@ -185,62 +201,92 @@ class CampaignReport:
 
 def run_fault_campaign(seed: int = 0,
                        kernels: Sequence[str] = DEFAULT_KERNELS,
-                       cores: Sequence[int] = (2, 4),
-                       arbiters: Sequence[str] = ("tdma",),
+                       cores: Sequence[int] = DEFAULT_CORES,
+                       arbiters: Sequence[str] = DEFAULT_ARBITERS,
                        memory_flips: int = 3, bus_errors: int = 3,
                        ecc: bool = True, ecc_latency_cycles: int = 3,
                        bus_retry_limit: int = 2,
                        config=None,
-                       progress: Optional[Callable[[str], None]] = None
+                       progress: Optional[Callable[[str], None]] = None,
+                       jobs: int = 1,
+                       run_dir: Optional[RunDirectory] = None,
+                       resume: bool = False
                        ) -> CampaignReport:
     """Run one seeded fault campaign over a kernel × cores × arbiter matrix.
 
     Every cell derives its own plan from ``seed`` and the cell index, sized
     by the cell's fault-free baseline (flips are scheduled inside the
     baseline makespan so they land during execution).  A cell that raises
-    is contained as a cell error — the campaign always completes and
-    reports every cell.
+    a library error, or whose worker keeps dying, is contained as a cell
+    error — the campaign always completes and reports every cell.
+    ``progress`` receives each cell's name as it finishes.  ``jobs``,
+    ``run_dir`` and ``resume`` work as in
+    :func:`repro.verify.run_conformance`.
     """
-    from ..cmp.system import MulticoreSystem
-    from ..compiler.passes import compile_and_link
     from ..config import DEFAULT_CONFIG
-    from ..errors import ReproError
-    from ..wcet.analyzer import analyze_wcet
-    from ..workloads.suite import build_kernel, resolve_kernels
+    from ..workloads.suite import resolve_kernels
 
     config = config or DEFAULT_CONFIG
-    kernels = resolve_kernels(kernels)
+    params = dict(memory_flips=memory_flips, bus_errors=bus_errors, ecc=ecc,
+                  ecc_latency_cycles=ecc_latency_cycles,
+                  bus_retry_limit=bus_retry_limit)
     report = CampaignReport(seed=seed, ecc=ecc,
                             bus_retry_limit=bus_retry_limit)
     started = time.perf_counter()
-    images: dict[str, tuple] = {}
-    index = 0
-    for kernel in kernels:
-        if kernel not in images:
-            built = build_kernel(kernel)
-            image, _ = compile_and_link(built.program, config)
-            images[kernel] = (image, built.expected_output)
-        image, expected = images[kernel]
-        for num_cores in cores:
-            for arbiter in arbiters:
-                if progress is not None:
-                    progress(f"{kernel}/{num_cores}core/{arbiter}")
-                cell = _run_cell(
-                    MulticoreSystem, analyze_wcet, ReproError,
-                    image, expected, kernel, num_cores, arbiter, config,
-                    seed + index, memory_flips, bus_errors, ecc,
-                    ecc_latency_cycles, bus_retry_limit)
-                report.cells.append(cell)
-                index += 1
+    cells = [JobCell(key=f"faults/{kernel}/{num_cores}/{arbiter}",
+                     label=f"{kernel}/{num_cores}core/{arbiter}",
+                     payload=(kernel, num_cores, arbiter, seed + index,
+                              config, params))
+             for index, (kernel, num_cores, arbiter) in enumerate(
+                 itertools.product(resolve_kernels(kernels), cores,
+                                   arbiters))]
+    by_key: dict[str, CampaignCell] = {}
+
+    def place(cell: JobCell, record: dict) -> None:
+        by_key[cell.key] = CampaignCell.from_dict(record)
+        if progress is not None:
+            progress(cell.label)
+
+    outcome = run_jobs(cells, _campaign_cell, jobs=jobs, run_dir=run_dir,
+                       resume=resume, on_result=place)
+    cell_of = {cell.key: cell for cell in cells}
+    for failure in outcome.failures:
+        by_key[failure.key] = CampaignCell(
+            *cell_of[failure.key].payload[:3], plan_hash="",
+            faults_planned=0, error=f"{failure.error}: {failure.message}")
+    report.cells = [by_key[cell.key] for cell in cells]
     report.elapsed_s = time.perf_counter() - started
     return report
 
 
-def _run_cell(MulticoreSystem, analyze_wcet, ReproError,
-              image, expected, kernel, num_cores, arbiter, config,
+@functools.lru_cache(maxsize=32)
+def _compiled(kernel: str, config) -> tuple:
+    """The linked image and expected output of ``kernel`` (memoised per
+    process, so every cell of a kernel reuses one compilation)."""
+    from ..compiler.passes import compile_and_link
+    from ..workloads.suite import build_kernel
+
+    built = build_kernel(kernel)
+    image, _ = compile_and_link(built.program, config)
+    return image, built.expected_output
+
+
+def _campaign_cell(payload: tuple) -> dict:
+    """Pool entry point: one cell; the result is its journal payload."""
+    kernel, num_cores, arbiter, cell_seed, config, params = payload
+    image, expected = _compiled(kernel, config)
+    return _run_cell(image, expected, kernel, num_cores, arbiter, config,
+                     cell_seed, **params).to_dict()
+
+
+def _run_cell(image, expected, kernel, num_cores, arbiter, config,
               cell_seed, memory_flips, bus_errors, ecc,
               ecc_latency_cycles, bus_retry_limit) -> CampaignCell:
     """One campaign cell: baseline, plan, faulted run, fault-aware bounds."""
+    from ..cmp.system import MulticoreSystem
+    from ..errors import ReproError
+    from ..wcet.analyzer import analyze_wcet
+
     cell = CampaignCell(kernel=kernel, cores=num_cores, arbiter=arbiter,
                         plan_hash="", faults_planned=0)
     try:

@@ -1,12 +1,13 @@
 """Durable, resumable sweep execution: journaled jobs with supervision.
 
-Both sweep runners — the design-space explorer (``python -m repro.explore``)
-and the conformance harness (``python -m repro.verify``) — execute their
-cells through this package.  A sweep becomes a *run*: a durable directory,
-an append-only journal of every cell state transition, and a supervised
-worker pool that survives crashed, wedged and killed workers.  A killed
-sweep resumes with ``--resume RUN_ID``, re-executing only the cells that
-never finished.
+Every sweep — the design-space explorer (``python -m repro.explore``), the
+conformance harness (``python -m repro.verify``) and the fault campaign
+(``python -m repro.verify --faults``) — builds a list of cells and makes
+one :func:`~repro.jobs.supervisor.run_jobs` call.  A sweep becomes a
+*run*: a durable directory, an append-only journal of every cell state
+transition, and a supervised worker pool that survives crashed, wedged and
+killed workers.  A killed sweep resumes with ``--resume RUN_ID``,
+re-executing only the cells that never finished.
 
 Module map
 ----------
@@ -33,30 +34,36 @@ Module map
     needs nothing but the id.
 
 :mod:`repro.jobs.policy`
-    The declarative :class:`~repro.jobs.policy.RetryPolicy` both runners
-    share: total attempts per cell, deterministic capped exponential
+    The declarative :class:`~repro.jobs.policy.RetryPolicy` every sweep
+    runs under: total attempts per cell, deterministic capped exponential
     backoff, heartbeat cadence/deadline, graceful-drain grace, and the
     per-cell wall-clock timeout classes (:data:`~repro.jobs.policy.TIMEOUT_CLASSES`).
 
 :mod:`repro.jobs.supervisor`
-    :func:`~repro.jobs.supervisor.run_jobs` — the execution engine.
-    Workers heartbeat; lost workers' leased cells are returned to the
-    queue and work-stolen by survivors while a replacement respawns;
-    cells that keep killing workers become structured
+    :func:`~repro.jobs.supervisor.run_jobs` — the one sweep loop.  It
+    replays the run's journal on resume, so done cells are never
+    re-executed.  Workers heartbeat; lost workers' leased cells are
+    returned to the queue and work-stolen by survivors while a replacement
+    respawns; cells that keep killing workers become structured
     :class:`~repro.errors.FailedCell` records once the attempt budget is
-    exhausted; SIGINT/SIGTERM drain gracefully with the journal flushed.
+    exhausted; SIGINT/SIGTERM drain gracefully with the journal flushed
+    and raise :class:`~repro.errors.SweepInterrupted` naming the resume
+    command.
 
 :mod:`repro.jobs.cli`
     ``python -m repro.jobs`` — ``list``/``show``/``latest`` over the runs
-    root, for finding the run id to resume.
+    root, for finding the run id to resume — and
+    :class:`~repro.jobs.cli.SweepSession`, the ``--resume``/``--runs-root``
+    /``--no-journal`` handling the sweep CLIs share.
 
 Resume semantics
 ----------------
 
-Replaying the journal partitions cells into *done* (payload recorded — the
-resumed run injects the payload and never re-executes), *failed* (re-queued
-with a fresh retry budget: the point of resuming is that the cause was
-fixed), and *pending* (anything else, including cells lost mid-flight).  A
+Replaying the journal partitions cells into *done* (payload recorded —
+``run_jobs`` hands the payload to the caller and never re-executes),
+*failed* (re-queued with a fresh retry budget: the point of resuming is
+that the cause was fixed), and *pending* (anything else, including cells
+lost mid-flight).  A
 resumed report is byte-identical (modulo elapsed time) to one from an
 uninterrupted run.
 """

@@ -7,6 +7,9 @@ flags on the sweep CLIs::
     python -m repro.jobs latest            # just the newest run id
     python -m repro.jobs latest --kind verify
     python -m repro.jobs show RUN_ID       # replayed cell states of one run
+
+:class:`SweepSession` is the other half: the run-directory handling of the
+sweep CLIs (``--resume``, ``--runs-root``, ``--no-journal``).
 """
 
 from __future__ import annotations
@@ -14,10 +17,65 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from ..errors import ReproError
+from ..errors import ReproError, SweepInterrupted
 from .rundir import RunDirectory, default_runs_root, list_runs
+
+
+class SweepSession:
+    """The run directory of one sweep CLI invocation, configured by the
+    flags every sweep CLI shares (``args.resume``, ``args.runs_root``,
+    ``args.no_journal``)."""
+
+    def __init__(self, kind: str, args):
+        self.kind = kind
+        self.args = args
+        self.run_dir: Optional[RunDirectory] = None
+
+    def resumed_matrix(self) -> Optional[dict]:
+        """The recorded matrix of the ``--resume`` run (None: fresh sweep).
+        An empty id (e.g. a failed command substitution in CI) must not
+        silently degrade into a fresh full sweep."""
+        run_id = self.args.resume
+        if run_id is None:
+            return None
+        if not run_id.strip():
+            raise ReproError("--resume requires a run id")
+        self.run_dir = RunDirectory.open(run_id, root=self.args.runs_root)
+        kind = self.run_dir.meta.get("kind")
+        if kind != self.kind:
+            raise ReproError(f"run {run_id} is a {kind!r} run; resume it "
+                             f"with python -m repro.{kind}")
+        return self.run_dir.meta["matrix"]
+
+    def start(self, matrix: dict, cells: int,
+              say: Optional[Callable[[str], None]] = print
+              ) -> Optional[RunDirectory]:
+        """Mark the resumed run, or create a fresh one unless
+        ``--no-journal``; returns the run directory to journal into."""
+        if self.run_dir is not None:
+            self.run_dir.mark_resumed(cells)
+            message = f"resuming run {self.run_dir.run_id}"
+        elif not self.args.no_journal:
+            self.run_dir = RunDirectory.create(
+                self.kind, matrix, cells=cells, root=self.args.runs_root)
+            message = (f"run id: {self.run_dir.run_id} "
+                       f"(resume with --resume {self.run_dir.run_id})")
+        if say is not None and self.run_dir is not None:
+            say(message)
+        return self.run_dir
+
+    @staticmethod
+    def interrupted(exc: SweepInterrupted) -> int:
+        """Report a drained sweep once (the message names the resume
+        command) and return exit status 130."""
+        print(f"\ninterrupted: {exc}", file=sys.stderr)
+        return 130
+
+    def close(self) -> None:
+        if self.run_dir is not None:
+            self.run_dir.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from ..errors import JobError
+from ..errors import JobError, SweepInterrupted
 from .journal import Journal, Replay, replay_journal
 
 META_NAME = "meta.json"
@@ -121,6 +121,15 @@ class RunDirectory:
         """Append a resume marker so the journal documents the new epoch."""
         self.journal().run_header(self.run_id, str(self.meta.get("kind")),
                                   cells, resumed=True)
+
+    def interrupted(self) -> SweepInterrupted:
+        """The error a drained sweep of this run raises; its message names
+        the exact command that resumes it."""
+        resume_argv = f"--resume {self.run_id}"
+        return SweepInterrupted(
+            f"sweep interrupted; journal flushed — resume with: "
+            f"python -m repro.{self.meta.get('kind')} {resume_argv}",
+            run_id=self.run_id, resume_argv=resume_argv)
 
     def close(self) -> None:
         if self._journal is not None:

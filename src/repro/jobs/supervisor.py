@@ -1,11 +1,13 @@
 """Supervised execution of journaled job cells over a heartbeat worker pool.
 
-:func:`run_jobs` is the one execution engine both sweep runners share.  It
-takes a list of :class:`JobCell` (key + label + picklable payload), a
-module-level worker function, and a :class:`~repro.jobs.policy.RetryPolicy`,
-and returns every cell's outcome — results for completed cells, structured
+:func:`run_jobs` is the one sweep loop every runner shares.  It takes a
+list of :class:`JobCell` (key + label + picklable payload), a module-level
+worker function, and a :class:`~repro.jobs.policy.RetryPolicy`, and returns
+every cell's outcome — results for completed cells, structured
 :class:`~repro.errors.FailedCell` records for cells that exhausted their
-crash budget or overran their timeout class.
+crash budget or overran their timeout class.  A result is also the cell's
+journal payload; on resume, cells the journal records as done get their
+payload back without running, while failed and lost cells run again.
 
 Supervision model (``jobs > 1``):
 
@@ -32,8 +34,8 @@ sweep loudly (the verify harness propagates everything).
 SIGINT/SIGTERM trigger a **graceful drain**: dispatch stops, in-flight
 cells get ``policy.drain_grace_s`` to finish (their results are journaled),
 anything still running is leased back (its journal state stays ``running``,
-so replay re-queues it), the journal is committed, and the outcome returns
-``interrupted=True`` so callers can print the resume command.
+so replay re-queues it), the journal is committed, and :func:`run_jobs`
+raises the run directory's :class:`~repro.errors.SweepInterrupted`.
 
 ``jobs == 1`` — or any environment that cannot start worker processes —
 runs the identical cell pipeline serially in-process (no heartbeats; a
@@ -51,9 +53,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..errors import (FailedCell, JobError, ReproError, SimulationTimeout,
-                      WorkerCrashed)
+                      SweepInterrupted, WorkerCrashed)
 from .journal import Journal
 from .policy import RetryPolicy
+from .rundir import RunDirectory
 
 #: How long one receive poll blocks before the liveness sweep runs again.
 _POLL_S = 0.05
@@ -92,7 +95,7 @@ class CellError:
                    traceback=traceback.format_exc(), exception=exc)
 
     def encode(self) -> dict:
-        """Picklable form for the result queue (exception best-effort)."""
+        """Picklable form for the result pipe (exception best-effort)."""
         try:
             pickled = pickle.dumps(self.exception)
         except Exception:
@@ -166,7 +169,7 @@ def _timeout_failure(cell: JobCell, attempts: int,
 # Worker side
 # ----------------------------------------------------------------------
 
-def _worker_main(slot: int, task_queue, result_queue, heartbeats,
+def _worker_main(slot: int, task_queue, results, heartbeats,
                  interval_s: float, worker_fn, worker_init,
                  init_args: tuple) -> None:
     """One pool worker: heartbeat thread + lease-execute-report loop."""
@@ -187,7 +190,7 @@ def _worker_main(slot: int, task_queue, result_queue, heartbeats,
         try:
             worker_init(*init_args)
         except BaseException as exc:
-            result_queue.put(("init_error", slot,
+            results.send(("init_error", slot,
                               CellError.from_exception(exc).encode()))
             return
     while True:
@@ -198,10 +201,10 @@ def _worker_main(slot: int, task_queue, result_queue, heartbeats,
         try:
             value = worker_fn(payload)
         except Exception as exc:
-            result_queue.put(("error", slot, key, attempt,
+            results.send(("error", slot, key, attempt,
                               CellError.from_exception(exc).encode()))
         else:
-            result_queue.put(("ok", slot, key, attempt, value))
+            results.send(("ok", slot, key, attempt, value))
     stop.set()
 
 
@@ -216,13 +219,17 @@ class _Slot:
         self.index = index
         self.process = None
         self.task_queue = None
+        #: Read end of this worker's own result pipe.  A pipe per worker,
+        #: not one shared queue: a worker killed mid-write can then only
+        #: tear its own channel, never leave a shared write lock held.
+        self.results = None
         self.lease: Optional[tuple[JobCell, int]] = None  # (cell, attempt)
         self.lease_started = 0.0
 
 
 class _Supervisor:
     def __init__(self, cells, worker_fn, *, jobs, policy, journal,
-                 worker_init, init_args, contain, crash_failure, encode,
+                 worker_init, init_args, contain, crash_failure,
                  on_result):
         self.cells = list(cells)
         self.worker_fn = worker_fn
@@ -233,7 +240,6 @@ class _Supervisor:
         self.init_args = init_args
         self.contain = contain
         self.crash_failure = crash_failure or default_crash_failure
-        self.encode = encode or (lambda value: value)
         self.on_result = on_result
         self.outcome = JobsOutcome()
         #: (cell, attempt, not_before) ready for dispatch, FIFO.
@@ -263,8 +269,7 @@ class _Supervisor:
         self.terminal.add(cell.key)
         self.outcome.results[cell.key] = value
         self.outcome.executed += 1
-        self._journal_cell(cell.key, "done", attempt,
-                           payload=self.encode(value))
+        self._journal_cell(cell.key, "done", attempt, payload=value)
         if self.on_result is not None:
             self.on_result(cell, value)
 
@@ -321,7 +326,6 @@ class _Supervisor:
                 context = multiprocessing.get_context()
             width = min(self.jobs, max(len(self.cells), 1))
             self.context = context
-            self.result_queue = context.Queue()
             self.heartbeats = context.Array("d", width, lock=False)
             self.slots = [_Slot(index) for index in range(width)]
             for slot in self.slots:
@@ -356,14 +360,16 @@ class _Supervisor:
 
     def _spawn(self, slot: _Slot) -> None:
         slot.task_queue = self.context.SimpleQueue()
+        slot.results, writer = self.context.Pipe(duplex=False)
         self.heartbeats[slot.index] = time.monotonic()
         slot.process = self.context.Process(
             target=_worker_main,
-            args=(slot.index, slot.task_queue, self.result_queue,
+            args=(slot.index, slot.task_queue, writer,
                   self.heartbeats, self.policy.heartbeat_interval_s,
                   self.worker_fn, self.worker_init, self.init_args),
             daemon=True)
         slot.process.start()
+        writer.close()  # the worker holds the only write end
 
     def _request_drain(self, signum, frame) -> None:
         if self.draining:
@@ -387,21 +393,18 @@ class _Supervisor:
             slot.task_queue.put((cell.key, cell.payload, attempt))
 
     def _receive(self) -> None:
-        import queue as queue_module
-        block = True
-        while True:
+        from multiprocessing.connection import wait
+        readers = {slot.results: slot for slot in self.slots
+                   if slot.results is not None}
+        for reader in wait(list(readers), timeout=_POLL_S):
             try:
-                message = self.result_queue.get(
-                    timeout=_POLL_S if block else 0)
-            except queue_module.Empty:
-                return
-            except (EOFError, OSError):  # pragma: no cover - torn queue
-                return
-            block = False
+                message = reader.recv()
+            except (EOFError, OSError):
+                # The worker is gone; the liveness check re-leases its cell.
+                readers[reader].results = None
+                reader.close()
+                continue
             self._handle(message)
-
-    def _slot_for(self, index: int) -> _Slot:
-        return self.slots[index]
 
     def _handle(self, message: tuple) -> None:
         kind = message[0]
@@ -409,18 +412,12 @@ class _Supervisor:
             _, _, encoded = message
             self._commit()
             CellError.decode(encoded).raise_()
-        _, slot_index, key, attempt, data = message
-        slot = self._slot_for(slot_index)
-        cell = None
-        if slot.lease is not None and slot.lease[0].key == key:
-            cell = slot.lease[0]
-            slot.lease = None
-        else:
-            # A stale delivery from a worker we already declared lost; the
-            # cell may have been re-leased elsewhere, so find it by key.
-            cell = next((c for c in self.cells if c.key == key), None)
-            if cell is None:  # pragma: no cover - defensive
-                return
+        # A message always answers its worker's current lease: the pipe of
+        # a worker declared lost is closed with it (see ``_kill``).
+        _, slot_index, _, attempt, data = message
+        slot = self.slots[slot_index]
+        cell, _ = slot.lease
+        slot.lease = None
         if kind == "ok":
             self._complete(cell, attempt, data)
         elif kind == "error":
@@ -462,6 +459,9 @@ class _Supervisor:
                 self._spawn(slot)
 
     def _kill(self, slot: _Slot) -> None:
+        if slot.results is not None:
+            slot.results.close()
+            slot.results = None
         process = slot.process
         slot.process = None
         if process is None:
@@ -489,7 +489,9 @@ class _Supervisor:
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.kill()
                 process.join(timeout=1.0)
-        self.result_queue.close()
+        for slot in self.slots:
+            if slot.results is not None:
+                slot.results.close()
         self._commit()
 
 
@@ -535,12 +537,13 @@ def _restore_sigterm(previous) -> None:
 def run_jobs(cells, worker_fn, *, jobs: int = 1,
              policy: Optional[RetryPolicy] = None,
              journal: Optional[Journal] = None,
+             run_dir: Optional[RunDirectory] = None,
+             resume: bool = False,
              worker_init: Optional[Callable] = None,
              init_args: tuple = (),
              contain: Optional[Callable[[CellError], bool]] = None,
              crash_failure: Optional[Callable[[JobCell, int], FailedCell]]
              = None,
-             encode: Optional[Callable[[Any], Any]] = None,
              on_result: Optional[Callable[[JobCell, Any], None]] = None
              ) -> JobsOutcome:
     """Execute every cell under the policy; see the module docstring.
@@ -549,22 +552,40 @@ def run_jobs(cells, worker_fn, *, jobs: int = 1,
     resolve the *current* binding under fork, which is how the containment
     tests plant crashing workers).  ``contain`` decides which raised errors
     become :class:`FailedCell` records (``None`` propagates everything);
-    ``encode`` maps a result value to its JSON journal payload;
-    ``on_result`` observes completions in completion order.
+    ``on_result`` observes completions — replayed cells first, then
+    executed cells in completion order.  Transitions go to ``run_dir``'s
+    journal (replayed first when ``resume``), else to a bare ``journal``.
     """
     if jobs < 1:
         raise JobError("jobs must be >= 1")
+    if run_dir is not None:
+        journal = run_dir.journal()
+    cells = list(cells)
+    done = run_dir.replay().done if (run_dir is not None and resume) else {}
     supervisor = _Supervisor(
-        cells, worker_fn, jobs=jobs, policy=policy or RetryPolicy(),
-        journal=journal, worker_init=worker_init, init_args=init_args,
-        contain=contain, crash_failure=crash_failure, encode=encode,
-        on_result=on_result)
-    if jobs > 1 and len(supervisor.cells) > 0:
+        [cell for cell in cells if done.get(cell.key) is None], worker_fn,
+        jobs=jobs, policy=policy or RetryPolicy(), journal=journal,
+        worker_init=worker_init, init_args=init_args, contain=contain,
+        crash_failure=crash_failure, on_result=on_result)
+    for cell in cells:
+        if done.get(cell.key) is not None:
+            supervisor.outcome.results[cell.key] = done[cell.key]
+            if on_result is not None:
+                on_result(cell, done[cell.key])
+    outcome = None
+    if jobs > 1 and supervisor.cells:
         try:
-            return supervisor.run_parallel()
+            outcome = supervisor.run_parallel()
         except _PoolUnavailable:  # pragma: no cover - restricted env
             pass  # fall through to the identical serial pipeline
-    return supervisor.run_serial()
+    if outcome is None:
+        outcome = supervisor.run_serial()
+    if outcome.interrupted:
+        if run_dir is not None:
+            raise run_dir.interrupted()
+        raise SweepInterrupted("sweep interrupted; there is no run "
+                               "directory to resume it from")
+    return outcome
 
 
 __all__ = ["CellError", "JobCell", "JobsOutcome", "default_crash_failure",

@@ -9,6 +9,7 @@ static bound fails to cover its observed execution::
     python -m repro.verify --arbiters single,tdma2  # arbiter subset
     python -m repro.verify --jobs 4                 # parallel matrix
     python -m repro.verify --faults                 # seeded fault campaign
+    python -m repro.verify --resume RUN_ID          # resume either kind
 
 ``--kernels`` accepts kernel and suite names (``performance``, ``branchy``,
 ``all``); ``--variants``/``--arbiters`` filter the cache-model and arbiter
@@ -18,7 +19,10 @@ columns of the matrix by name.
 (:func:`repro.faults.run_fault_campaign`): every cell runs fault-free, then
 under a seeded fault plan with ECC and bounded bus retries, and must stay
 within its fault-aware WCET bound with outputs intact.  ``--json`` then
-writes the campaign report (the CI ``BENCH_faults.json`` artifact).
+writes the campaign report (the CI ``BENCH_faults.json`` artifact).  Both
+modes are journaled runs: ``--jobs``, ``--resume``, ``--runs-root`` and
+``--no-journal`` apply to the campaign as well, and the run matrix records
+whether a run was a campaign, so ``--resume`` rebuilds the right sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..errors import ReproError, SweepInterrupted
-from ..jobs import RunDirectory
+from ..jobs.cli import SweepSession
 from ..workloads.suite import resolve_kernels
 from .harness import count_cells, run_conformance
 from .scenarios import (DEFAULT_ARBITERS, DEFAULT_RTOS_SCENARIOS,
@@ -110,52 +114,78 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_faults(args, kernels) -> int:
-    """The ``--faults`` mode: seeded campaign, zero-violation gate."""
-    from ..faults import run_fault_campaign
-    from ..faults.campaign import DEFAULT_KERNELS
+def _run_faults(args, kernels, session: SweepSession):
+    """The ``--faults`` mode: the seeded campaign and whether it failed."""
+    from ..faults import campaign
 
     # An explicit --kernels selects the campaign kernels; the default
     # ("all") means the campaign's own small, quick kernel set, not the
     # entire workload suite.
     if args.kernels.strip() == "all":
-        kernels = DEFAULT_KERNELS
-    report = run_fault_campaign(
-        seed=args.fault_seed, kernels=kernels,
+        kernels = campaign.DEFAULT_KERNELS
+    matrix = {"faults": True, "fault_seed": args.fault_seed,
+              "kernels": list(kernels)}
+    cells = (len(kernels) * len(campaign.DEFAULT_CORES)
+             * len(campaign.DEFAULT_ARBITERS))
+    run_dir = session.start(matrix, cells,
+                            say=None if args.quiet else print)
+    report = campaign.run_fault_campaign(
+        seed=args.fault_seed, kernels=kernels, jobs=args.jobs,
+        run_dir=run_dir, resume=bool(args.resume),
         progress=None if args.quiet else (
-            lambda cell: print(f"faulting {cell}")))
+            lambda cell: print(f"faulted {cell}")))
     if args.table:
         print()
         print(report.table())
-    print()
-    print(report.summary())
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {args.json}")
-    return 0 if report.ok else 1
+    return report, not report.ok
+
+
+def _run_matrix(args, kernels, variants, arbiters, session: SweepSession):
+    """The conformance matrix and whether it failed the gate."""
+    rtos_scenarios = () if args.no_rtos else DEFAULT_RTOS_SCENARIOS
+    matrix = {"kernels": list(kernels),
+              "variants": [v.name for v in variants],
+              "arbiters": [a.name for a in arbiters],
+              "no_rtos": bool(args.no_rtos),
+              "engine": args.engine}
+    run_dir = session.start(
+        matrix, count_cells(kernels, variants, arbiters, rtos_scenarios),
+        say=None if args.quiet else print)
+    report = run_conformance(
+        kernels=kernels, variants=variants, arbiters=arbiters,
+        rtos_scenarios=rtos_scenarios,
+        jobs=args.jobs, engine=args.engine,
+        progress=None if args.quiet else print,
+        run_dir=run_dir, resume=bool(args.resume))
+    if args.table:
+        print()
+        print(report.table())
+        if report.loop_checks:
+            print()
+            print(report.loops_table())
+    # Failed cells mean the matrix is incomplete: that must fail the gate
+    # even with zero violations among the scenarios that did run.  An
+    # unsound loop-bound fact fails it too, even when every end-to-end
+    # cycle bound happens to hold.
+    return report, bool(report.violations() or report.failures
+                        or report.loop_violations())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    session = SweepSession("verify", args)
     # Usage errors (unknown kernels/variants/arbiters) are reported cleanly
     # before the run; only this validation may catch KeyError (the error
     # resolve_kernels raises), so a genuine KeyError bug inside the harness
     # still produces a traceback instead of masquerading as a typo.
-    run_dir = None
     try:
-        if args.resume is not None and not args.resume.strip():
-            # An empty id (e.g. a failed command substitution in CI) must
-            # not silently degrade into a fresh full sweep.
-            raise ReproError("--resume requires a run id")
-        if args.resume:
-            run_dir = RunDirectory.open(args.resume, root=args.runs_root)
-            meta = run_dir.meta
-            if meta.get("kind") != "verify":
-                raise ReproError(
-                    f"run {args.resume} is a {meta.get('kind')!r} run; "
-                    f"resume it with python -m repro.{meta.get('kind')}")
-            matrix = meta["matrix"]
+        matrix = session.resumed_matrix()
+        if matrix is not None and matrix.get("faults"):
+            args.faults = True
+            args.fault_seed = matrix["fault_seed"]
+            args.kernels = ",".join(matrix["kernels"])
+        elif matrix is not None:
+            args.faults = False
             args.kernels = ",".join(matrix["kernels"])
             args.variants = ",".join(matrix["variants"])
             args.arbiters = ",".join(matrix["arbiters"])
@@ -178,68 +208,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.jobs < 1:
             raise ReproError("--jobs must be at least 1")
     except (ReproError, KeyError) as exc:
+        session.close()
         # A KeyError's args[0] is the message (str() would add repr quotes).
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    if args.faults:
-        try:
-            return _run_faults(args, kernels)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        rtos_scenarios = () if args.no_rtos else DEFAULT_RTOS_SCENARIOS
-        cells = count_cells(kernels, variants, arbiters, rtos_scenarios)
-        if args.resume:
-            run_dir.mark_resumed(cells)
-            if not args.quiet:
-                print(f"resuming run {run_dir.run_id}")
-        elif not args.no_journal:
-            matrix = {"kernels": list(kernels),
-                      "variants": [v.name for v in variants],
-                      "arbiters": [a.name for a in arbiters],
-                      "no_rtos": bool(args.no_rtos),
-                      "engine": args.engine}
-            run_dir = RunDirectory.create("verify", matrix, cells=cells,
-                                          root=args.runs_root)
-            if not args.quiet:
-                print(f"run id: {run_dir.run_id} "
-                      f"(resume with --resume {run_dir.run_id})")
-        report = run_conformance(
-            kernels=kernels, variants=variants, arbiters=arbiters,
-            rtos_scenarios=rtos_scenarios,
-            jobs=args.jobs, engine=args.engine,
-            progress=None if args.quiet else print,
-            run_dir=run_dir, resume=bool(args.resume))
+        report, failed = (
+            _run_faults(args, kernels, session) if args.faults
+            else _run_matrix(args, kernels, variants, arbiters, session))
     except SweepInterrupted as exc:
-        print(f"\ninterrupted: {exc}", file=sys.stderr)
-        if exc.resume_argv:
-            print(f"resume with: python -m repro.verify {exc.resume_argv}",
-                  file=sys.stderr)
-        return 130
+        return session.interrupted(exc)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if run_dir is not None:
-            run_dir.close()
-
-    if args.table:
-        print()
-        print(report.table())
-        if report.loop_checks:
-            print()
-            print(report.loops_table())
+        session.close()
     print()
     print(report.summary())
     if args.json:
         Path(args.json).write_text(
             json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.json}")
-    # Failed cells mean the matrix is incomplete: that must fail the gate
-    # even with zero violations among the scenarios that did run.  An
-    # unsound loop-bound fact fails it too, even when every end-to-end
-    # cycle bound happens to hold.
-    return 1 if (report.violations() or report.failures
-                 or report.loop_violations()) else 0
+    return 1 if failed else 0

@@ -18,19 +18,21 @@ Simulations are memoised per (kernel, hardware organisation, arbiter), so
 analysis-only variants (``always_miss``, ``naive``) reuse the simulation of
 the default variant and the full matrix stays CI-sized.
 
-The matrix is embarrassingly parallel: ``run_conformance(jobs=N)`` fans the
-scenario cells out over a process pool (the explore runner's worker
-pattern).  Cells are shipped in groups that share a simulation key, so
-per-worker harnesses keep the memoisation win, and the report is assembled
-in the deterministic scenario order regardless of completion order — a
-parallel run produces the same report as a sequential one (only the
-measured ``elapsed_s`` differs).
+A run is one ordered list of journal cells executed by
+:func:`repro.jobs.run_jobs`: the scenario groups (scenarios sharing a
+simulation key, so each harness keeps the memoisation win), then one
+``loops/<kernel>`` cell per kernel and one ``rtos/<name>`` cell per
+response-time scenario.  ``run_conformance(jobs=N)`` runs every cell on a
+pool of warm worker harnesses; the report is assembled in the
+deterministic scenario order regardless of completion order — a parallel
+run produces the same report as a sequential one (only the measured
+``elapsed_s`` differs).
 
 A worker that *dies* (killed, OOM, segfault) does not abort the run: its
-scenario group is resubmitted to a fresh pool with capped backoff, and a
-group that keeps killing workers is recorded as a structured
-:class:`~repro.errors.FailedCell` in the report while every other group
-still completes.  Errors *raised by* a scenario (functional mismatches)
+cell is re-leased under the default :class:`~repro.jobs.RetryPolicy`, and
+a group that keeps killing workers is recorded as a structured
+:class:`~repro.errors.FailedCell` in the report while every other cell
+still completes.  Errors *raised by* a cell (functional mismatches)
 propagate exactly as in the sequential path — a broken execution must fail
 the verification loudly.
 """
@@ -45,10 +47,9 @@ from typing import Callable, Optional
 from ..cmp.system import MulticoreSystem
 from ..compiler.passes import compile_and_link
 from ..config import DEFAULT_CONFIG, PatmosConfig
-from ..errors import (FailedCell, SweepInterrupted, VerificationError,
-                      WorkerCrashed)
+from ..errors import FailedCell, VerificationError, WorkerCrashed
 from ..explore.tables import format_table
-from ..jobs import JobCell, RetryPolicy, RunDirectory, run_jobs
+from ..jobs import JobCell, RunDirectory, default_crash_failure, run_jobs
 from ..sim.cycle import CycleSimulator
 from ..wcet.analyzer import WcetOptions, analyze_wcet
 from ..workloads.suite import build_kernel
@@ -416,36 +417,47 @@ class ConformanceHarness:
 
 
 #: Per-worker harness of the parallel matrix (set by the pool initializer;
-#: workers keep their simulation memoisation across scenario groups).
+#: workers keep their simulation memoisation across cells).
 _worker_harness: Optional[ConformanceHarness] = None
 
 
-def _init_worker(config_dict: Optional[dict], strict: bool,
-                 engine: str = "fast") -> None:
+def _init_worker(config: Optional[PatmosConfig], strict: bool,
+                 engine: str) -> None:
     global _worker_harness
-    config = (PatmosConfig.from_dict(config_dict)
-              if config_dict is not None else None)
     _worker_harness = ConformanceHarness(config=config, strict=strict,
                                          engine=engine)
 
 
-def _run_scenario_group(group: list[Scenario]
-                        ) -> list[list[ScenarioOutcome]]:
+def _run_cell(harness: ConformanceHarness, payload: tuple) -> list:
+    """Run one cell on ``harness``; its records are the journal payload."""
+    kind, arg = payload
+    if kind == "loops":
+        return [check.to_dict() for check in harness.run_loop_checks(arg)]
+    if kind == "rtos":
+        return [outcome.to_dict()
+                for outcome in harness.run_rtos_scenario(arg)]
+    return [[outcome.to_dict() for outcome in harness.run_scenario(scenario)]
+            for scenario in arg]
+
+
+def _run_scenario_group(group: list[Scenario]) -> list[list[dict]]:
     """Pool worker: run one group of scenarios sharing a simulation key."""
-    return [_worker_harness.run_scenario(scenario) for scenario in group]
+    return _run_cell(_worker_harness, ("group", group))
 
 
-def _group_worker(group: list[Scenario]) -> list[list[ScenarioOutcome]]:
-    """Pool entry point: one indirection through the module global.
+def _cell_worker(payload: tuple) -> list:
+    """Pool entry point: one indirection through the module globals.
 
     Workers call the *current* ``_run_scenario_group`` binding, so a forked
     child inherits any replacement installed in the parent — which is how
     the crash-containment tests plant a worker that dies mid-group.
     """
-    return _run_scenario_group(group)
+    if payload[0] == "group":
+        return _run_scenario_group(payload[1])
+    return _run_cell(_worker_harness, payload)
 
 
-def _emit_progress(progress: Callable[[str], None], scenario: Scenario,
+def _emit_progress(progress: Callable[[str], None], scenario,
                    outcomes: list[ScenarioOutcome]) -> None:
     worst = min((outcome.tightness for outcome in outcomes
                  if outcome.tightness is not None), default=None)
@@ -455,33 +467,21 @@ def _emit_progress(progress: Callable[[str], None], scenario: Scenario,
     progress(f"{scenario.label():60s} min bound/obs {ratio:>6s}  {status}")
 
 
-#: Resubmissions of a scenario group whose worker died before the group is
-#: declared poisoned and recorded as a failed cell.
-_MAX_GROUP_RETRIES = 2
-#: Base (and cap) of the exponential pause between crash-recovery rounds.
-_RETRY_BACKOFF_S = 0.05
-_MAX_BACKOFF_S = 2.0
-
-
-def _policy() -> RetryPolicy:
-    """The harness retry policy (module globals read at call time, so the
-    containment tests can zero the backoff)."""
-    return RetryPolicy(max_attempts=1 + _MAX_GROUP_RETRIES,
-                       backoff_base_s=_RETRY_BACKOFF_S,
-                       backoff_cap_s=_MAX_BACKOFF_S)
-
-
-def _crashed_group(group: list[Scenario], attempts: int) -> FailedCell:
-    """The structured failure record of a group that kept killing workers."""
+def _crash_failure(cell: JobCell, attempts: int) -> FailedCell:
+    """The structured failure record of a cell that kept killing workers;
+    a scenario group's record lists the scenarios that went missing."""
+    kind, group = cell.payload
+    if kind != "group":
+        return default_crash_failure(cell, attempts)
     labels = [scenario.label() for scenario in group]
     extra = f" (+{len(labels) - 1} more)" if len(labels) > 1 else ""
     exc = WorkerCrashed(
         f"worker process died {attempts} times executing scenario group "
         f"{labels[0]}{extra}", cell_key=labels[0], attempts=attempts)
-    cell = FailedCell.from_exception(labels[0], labels[0], exc,
-                                     attempts=attempts)
-    cell.context["scenarios"] = labels
-    return cell
+    failure = FailedCell.from_exception(labels[0], labels[0], exc,
+                                        attempts=attempts)
+    failure.context["scenarios"] = labels
+    return failure
 
 
 def _group_key(kernel: str, hardware: str, arbiter: ArbiterConfig) -> str:
@@ -514,16 +514,30 @@ def _loopcheck_from_dict(record: dict) -> LoopCheck:
         limit=record["limit"])
 
 
-def _interrupted(run_dir: Optional[RunDirectory]) -> SweepInterrupted:
-    if run_dir is None:
-        return SweepInterrupted(
-            "verification interrupted; the run was not journaled "
-            "(no run directory)")
-    resume_argv = f"--resume {run_dir.run_id}"
-    return SweepInterrupted(
-        f"verification interrupted; journal flushed — resume with: "
-        f"python -m repro.verify {resume_argv}",
-        run_id=run_dir.run_id, resume_argv=resume_argv)
+def _matrix_cells(scenarios: list[Scenario],
+                  rtos_scenarios: tuple[RtosScenario, ...]
+                  ) -> list[JobCell]:
+    """The ordered journal cells of one conformance run.
+
+    First the scenario groups (scenarios sharing a simulation key, in
+    first-appearance order), then one loop-check cell per kernel, then one
+    cell per response-time scenario.
+    """
+    groups: dict[tuple, list[Scenario]] = {}
+    for scenario in scenarios:
+        groups.setdefault((scenario.kernel, scenario.variant.hardware,
+                           scenario.arbiter), []).append(scenario)
+    cells = []
+    for key, group in groups.items():
+        more = f" (+{len(group) - 1} more)" if len(group) > 1 else ""
+        cells.append(JobCell(_group_key(*key), group[0].label() + more,
+                             ("group", group)))
+    kernels = dict.fromkeys(scenario.kernel for scenario in scenarios)
+    cells += [JobCell(f"loops/{kernel}", f"{kernel} loop bounds",
+                      ("loops", kernel)) for kernel in kernels]
+    cells += [JobCell(f"rtos/{rtos.name}", rtos.label(), ("rtos", rtos))
+              for rtos in rtos_scenarios]
+    return cells
 
 
 def count_cells(kernels=("all",),
@@ -531,10 +545,8 @@ def count_cells(kernels=("all",),
                 arbiters: tuple[ArbiterConfig, ...] = DEFAULT_ARBITERS,
                 rtos_scenarios: tuple[RtosScenario, ...] = ()) -> int:
     """How many journal cells a conformance run of this matrix executes."""
-    scenarios = build_scenarios(kernels, variants, arbiters)
-    groups = {(s.kernel, s.variant.hardware, s.arbiter) for s in scenarios}
-    kernels_seen = {s.kernel for s in scenarios}
-    return len(groups) + len(kernels_seen) + len(rtos_scenarios)
+    return len(_matrix_cells(build_scenarios(kernels, variants, arbiters),
+                             rtos_scenarios))
 
 
 def run_conformance(kernels=("all",),
@@ -552,17 +564,17 @@ def run_conformance(kernels=("all",),
                     ) -> ConformanceReport:
     """Run the full conformance matrix and collect the report.
 
-    Scenario cells execute through the shared :mod:`repro.jobs` engine:
-    scenarios sharing a (kernel, hardware, arbiter) simulation stay in one
-    group so the per-worker memoisation is preserved, and ``jobs > 1``
-    fans the groups out over a heartbeat-supervised worker pool.  The
-    report content is identical to a sequential run (deterministic
-    scenario order), only the progress lines arrive in completion order
-    and ``elapsed_s`` reflects the parallel wall-clock.  A worker that
-    *dies* does not abort the run: its group is re-leased under the
-    harness retry policy and becomes a :class:`~repro.errors.FailedCell`
-    once the budget is exhausted, while errors *raised by* a scenario
-    (functional mismatches) always propagate.
+    Every cell — the scenario groups, the per-kernel loop checks and the
+    response-time scenarios (``rtos_scenarios``; pass ``()`` to skip them)
+    — executes through one :func:`repro.jobs.run_jobs` call; ``jobs > 1``
+    fans them out over a heartbeat-supervised pool of warm worker
+    harnesses.  The report content is identical to a sequential run
+    (deterministic scenario order), only the progress lines arrive in
+    completion order and ``elapsed_s`` reflects the parallel wall-clock.
+    A worker that *dies* does not abort the run: its cell is re-leased
+    under the default retry policy and becomes a
+    :class:`~repro.errors.FailedCell` once the budget is exhausted, while
+    errors *raised by* a cell (functional mismatches) always propagate.
 
     With a ``run_dir`` every cell transition is journaled; ``resume=True``
     replays the journal first and re-executes only cells without a
@@ -571,136 +583,60 @@ def run_conformance(kernels=("all",),
     gracefully and raise :class:`~repro.errors.SweepInterrupted` carrying
     the resume command.
 
-    The response-time cells (``rtos_scenarios``; pass ``()`` to skip them)
-    and the per-kernel loop checks run after the kernel matrix on the main
-    process — there are only a handful.  ``progress`` (if given) receives
-    one line per finished scenario; the report itself never raises on
-    soundness violations — callers decide (the CLI and the CI gate exit
-    non-zero when ``violations()`` is non-empty).
+    ``progress`` (if given) receives one line per finished scenario and
+    per kernel's loop checks; the report itself never raises on soundness
+    violations — callers decide (the CLI and the CI gate exit non-zero
+    when ``violations()`` is non-empty).
     """
     if jobs < 1:
         raise VerificationError("jobs must be >= 1")
     scenarios = build_scenarios(kernels, variants, arbiters)
-    report = ConformanceReport()
     started = time.perf_counter()
-    journal = run_dir.journal() if run_dir is not None else None
-    replay = run_dir.replay() if (run_dir is not None and resume) else None
+    #: Scenario (or rtos scenario) -> outcomes, loop cell key -> checks.
+    placed: dict = {}
 
-    groups: dict[tuple, list[int]] = {}
-    for index, scenario in enumerate(scenarios):
-        key = (scenario.kernel, scenario.variant.hardware, scenario.arbiter)
-        groups.setdefault(key, []).append(index)
-    group_indices = list(groups.values())
-    payloads = [[scenarios[i] for i in indices] for indices in group_indices]
-    keys = [_group_key(*group) for group in groups]
-    outcome_lists: list[Optional[list[ScenarioOutcome]]] = \
-        [None] * len(scenarios)
-
-    def place(g: int, results: list[list[ScenarioOutcome]]) -> None:
-        for index, outcomes in zip(group_indices[g], results):
-            outcome_lists[index] = outcomes
+    def place(cell: JobCell, records: list) -> None:
+        kind, arg = cell.payload
+        if kind == "loops":
+            placed[cell.key] = checks = [_loopcheck_from_dict(r)
+                                         for r in records]
             if progress is not None:
-                _emit_progress(progress, scenarios[index], outcomes)
+                bad = sum(1 for check in checks if check.ok is False)
+                status = "ok" if not bad else f"{bad} VIOLATIONS"
+                progress(f"{cell.label:60s} "
+                         f"{len(checks):3d} loops checked  {status}")
+            return
+        for scenario, outcome_records in (
+                zip(arg, records) if kind == "group" else [(arg, records)]):
+            placed[scenario] = outcomes = [_outcome_from_dict(r)
+                                           for r in outcome_records]
+            if progress is not None:
+                _emit_progress(progress, scenario, outcomes)
 
-    g_of_key = {keys[g]: g for g in range(len(payloads))}
-    to_run: list[int] = []
-    for g in range(len(payloads)):
-        recorded = replay.done.get(keys[g]) if replay is not None else None
-        if recorded is not None:
-            # Journaled groups are *replayed*, not re-executed: the payload
-            # is the full per-scenario outcome list.
-            place(g, [[_outcome_from_dict(record) for record in outcomes]
-                      for outcomes in recorded])
-        else:
-            to_run.append(g)
-
-    def group_label(g: int) -> str:
-        labels = [scenario.label() for scenario in payloads[g]]
-        extra = f" (+{len(labels) - 1} more)" if len(labels) > 1 else ""
-        return labels[0] + extra
-
-    # The sequential path runs every group on one in-process harness (its
-    # simulation memoisation is shared with the loop/rtos cells below);
-    # only ``jobs > 1`` routes groups through the pool entry point, so a
-    # test that replaces ``_run_scenario_group`` only ever affects forked
+    # The sequential path runs every cell on one in-process harness; only
+    # ``jobs > 1`` routes cells through the pool entry point, so a test
+    # that replaces ``_run_scenario_group`` only ever affects forked
     # workers, never the calling process.
-    local_harness = (ConformanceHarness(config=config, strict=strict,
-                                        engine=engine)
-                     if jobs == 1 else None)
+    if jobs == 1:
+        harness = ConformanceHarness(config=config, strict=strict,
+                                     engine=engine)
 
-    def _serial_group(group: list[Scenario]) -> list[list[ScenarioOutcome]]:
-        return [local_harness.run_scenario(scenario) for scenario in group]
-
+        def worker(payload: tuple) -> list:
+            return _run_cell(harness, payload)
+    else:
+        worker = _cell_worker
+    cells = _matrix_cells(scenarios, rtos_scenarios)
     outcome = run_jobs(
-        [JobCell(key=keys[g], label=group_label(g), payload=payloads[g])
-         for g in to_run],
-        _serial_group if jobs == 1 else _group_worker,
-        jobs=jobs, policy=_policy(), journal=journal,
+        cells, worker, jobs=jobs, run_dir=run_dir, resume=resume,
         worker_init=_init_worker if jobs > 1 else None,
-        init_args=(config.to_dict() if config is not None else None,
-                   strict, engine),
-        crash_failure=lambda cell, attempts: _crashed_group(cell.payload,
-                                                            attempts),
-        encode=lambda results: [[o.to_dict() for o in outcomes]
-                                for outcomes in results],
-        on_result=lambda cell, results: place(g_of_key[cell.key], results))
-    report.failures.extend(outcome.failures)
-    if outcome.interrupted:
-        raise _interrupted(run_dir)
+        init_args=(config, strict, engine),
+        crash_failure=_crash_failure, on_result=place)
 
-    # The per-loop soundness gate and the response-time cells run on the
-    # main process — there are only a handful, and the sequential path
-    # shares its simulation memoisation with the matrix cells above.
-    harness = local_harness if local_harness is not None \
-        else ConformanceHarness(config=config, strict=strict, engine=engine)
-    seen_kernels: list[str] = []
-    for scenario in scenarios:
-        if scenario.kernel not in seen_kernels:
-            seen_kernels.append(scenario.kernel)
-
-    def run_main_cell(key: str, fn, encode, decode):
-        """One journaled main-process cell (loop check / rtos scenario)."""
-        recorded = replay.done.get(key) if replay is not None else None
-        if recorded is not None:
-            return decode(recorded)
-        if journal is not None:
-            journal.cell(key, "running", 1)
-        try:
-            value = fn()
-        except KeyboardInterrupt:
-            if journal is not None:
-                journal.commit()
-            raise _interrupted(run_dir) from None
-        if journal is not None:
-            journal.cell(key, "done", 1, payload=encode(value))
-        return value
-
-    for kernel in seen_kernels:
-        checks = run_main_cell(
-            f"loops/{kernel}",
-            lambda kernel=kernel: harness.run_loop_checks(kernel),
-            lambda checks: [check.to_dict() for check in checks],
-            lambda records: [_loopcheck_from_dict(r) for r in records])
-        report.loop_checks.extend(checks)
-        if progress is not None:
-            bad = sum(1 for check in checks if check.ok is False)
-            status = "ok" if not bad else f"{bad} VIOLATIONS"
-            progress(f"{kernel + ' loop bounds':60s} "
-                     f"{len(checks):3d} loops checked  {status}")
-    for rtos_scenario in rtos_scenarios:
-        outcomes = run_main_cell(
-            f"rtos/{rtos_scenario.name}",
-            lambda s=rtos_scenario: harness.run_rtos_scenario(s),
-            lambda outcomes: [o.to_dict() for o in outcomes],
-            lambda records: [_outcome_from_dict(r) for r in records])
-        outcome_lists.append(outcomes)
-        if progress is not None:
-            _emit_progress(progress, rtos_scenario, outcomes)
-    if journal is not None:
-        journal.commit()
-    for outcomes in outcome_lists:
-        # ``None`` slots belong to a crash-failed group recorded above.
-        if outcomes is not None:
-            report.outcomes.extend(outcomes)
+    # Scenarios missing here belong to a crash-failed cell.
+    report = ConformanceReport(failures=outcome.failures)
+    for scenario in (*scenarios, *rtos_scenarios):
+        report.outcomes.extend(placed.get(scenario, ()))
+    for cell in cells:
+        report.loop_checks.extend(placed.get(cell.key, ()))
     report.elapsed_s = time.perf_counter() - started
     return report

@@ -20,6 +20,7 @@ from repro.explore import (
 )
 from repro.explore import runner as runner_module
 from repro.explore.cli import coerce_value, main, parse_axis
+from repro.jobs import RetryPolicy
 
 
 class TestAxisResolution:
@@ -359,8 +360,7 @@ class TestCrashContainment:
         # inherit this replacement.
         monkeypatch.setattr(runner_module, "execute_spec", die_on_fir)
 
-        runner = ExplorationRunner(jobs=2, max_retries=1,
-                                   retry_backoff_s=0.0)
+        runner = ExplorationRunner(jobs=2)
         outcome = runner.run(specs)
         # The innocent cell completed (round 0 or its isolated retry);
         # the poisoned cell became a structured failure record.
@@ -368,8 +368,9 @@ class TestCrashContainment:
         assert len(outcome.failures) == 1
         cell = outcome.failures[0]
         assert cell.error == "WorkerCrashed"
-        assert cell.attempts == 2       # initial run + one retry
-        assert cell.context["attempts"] == 2
+        # Initial run plus the default policy's crash retries.
+        assert cell.attempts == RetryPolicy().max_attempts
+        assert cell.context["attempts"] == RetryPolicy().max_attempts
         assert "worker process died" in cell.message
         assert not outcome.ok
 
@@ -386,12 +387,11 @@ class TestCrashContainment:
             return real(spec)
         monkeypatch.setattr(runner_module, "execute_spec", die_on_fir)
 
-        # max_retries >= 1 so an innocent cell whose future merely shared
-        # the broken pool always recovers on its isolated retry.
+        # The default policy retries crashes, so an innocent cell that
+        # merely shared the broken pool always recovers on its retry.
         records = []
         for _ in range(2):
-            outcome = ExplorationRunner(
-                jobs=2, max_retries=1, retry_backoff_s=0.0).run(specs)
+            outcome = ExplorationRunner(jobs=2).run(specs)
             assert [r.kernel for r in outcome.results] == ["vector_sum"]
             assert len(outcome.failures) == 1
             records.append(outcome.failures[0].to_dict())

@@ -304,6 +304,12 @@ class TestRunJobsParallel:
         assert failure.context["max_wall_s"] == 0.4
 
 
+def _timing_free(report: dict) -> dict:
+    report.pop("elapsed_s", None)
+    report.get("summary", {}).pop("elapsed_s", None)
+    return report
+
+
 def _journal_counts(journal_path, state):
     counts = {}
     for line in journal_path.read_bytes().split(b"\n"):
@@ -426,6 +432,64 @@ class TestCrashRecovery:
         assert first == baseline
         assert resumed == baseline
 
+        # The same with a pool, where the loop and RTOS cells run in the
+        # workers too: tear the journal just before the last loops/ or
+        # rtos/ terminal record, resume with jobs=2, and check that only
+        # cells without a terminal record ran again.
+        from repro.verify import DEFAULT_RTOS_SCENARIOS
+        kwargs["rtos_scenarios"] = DEFAULT_RTOS_SCENARIOS[2:3]
+        baseline = _timing_free(run_conformance(**kwargs).to_dict())
+        run = RunDirectory.create(
+            "verify", {"t": "resume-parallel"},
+            cells=count_cells(["vector_sum"], variants, arbiters,
+                              kwargs["rtos_scenarios"]), root=tmp_path)
+        run_conformance(**kwargs, jobs=2, run_dir=run)
+        run.close()
+        lines = run.journal_path.read_bytes().rstrip(b"\n").split(b"\n")
+        records = [json.loads(line) for line in lines]
+        cut = max(index for index, record in enumerate(records)
+                  if record.get("state") == "done"
+                  and record["key"].startswith(("loops/", "rtos/")))
+        dropped = records[cut]["key"]
+        run.journal_path.write_bytes(b"\n".join(lines[:cut]) + b"\n")
+        done_cut = _journal_counts(run.journal_path, "done")
+        runs_cut = _journal_counts(run.journal_path, "running")
+        assert dropped not in done_cut
+
+        resumed_dir = RunDirectory.open(run.run_id, root=tmp_path)
+        resumed = run_conformance(**kwargs, jobs=2, run_dir=resumed_dir,
+                                  resume=True).to_dict()
+        resumed_dir.close()
+        runs_after = _journal_counts(run.journal_path, "running")
+        for key in done_cut:
+            assert runs_after[key] == runs_cut[key], \
+                f"done cell {key} was re-executed on resume"
+        assert runs_after[dropped] == runs_cut.get(dropped, 0) + 1
+        assert _timing_free(resumed) == baseline
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_verify_journal_holds_one_record_per_counted_cell(self, tmp_path,
+                                                              jobs):
+        from repro.verify import (DEFAULT_ARBITERS, DEFAULT_RTOS_SCENARIOS,
+                                  DEFAULT_VARIANTS, run_conformance)
+        from repro.verify.harness import count_cells
+
+        matrix = (["vector_sum"], DEFAULT_VARIANTS[:2],
+                  tuple(a for a in DEFAULT_ARBITERS
+                        if a.name in ("single", "tdma2")),
+                  DEFAULT_RTOS_SCENARIOS[2:3])
+        cells = count_cells(*matrix)
+        run = RunDirectory.create("verify", {"t": "count", "jobs": jobs},
+                                  cells=cells, root=tmp_path)
+        report = run_conformance(*matrix[:3], rtos_scenarios=matrix[3],
+                                 jobs=jobs, run_dir=run)
+        run.close()
+        assert not report.failures
+        terminal = _journal_counts(run.journal_path, "done")
+        assert sum(terminal.values()) == len(terminal) == cells
+        assert "loops/vector_sum" in terminal
+        assert f"rtos/{DEFAULT_RTOS_SCENARIOS[2].name}" in terminal
+
     def test_verify_resume_rejects_unknown_recorded_engine(self, tmp_path,
                                                            capsys):
         from repro.verify import DEFAULT_VARIANTS
@@ -468,3 +532,81 @@ class TestCrashRecovery:
             run.close()
         assert excinfo.value.run_id == run.run_id
         assert f"--resume {run.run_id}" in excinfo.value.resume_argv
+
+
+class TestSweepCli:
+    """The sweep CLIs share one run-directory life cycle (SweepSession)."""
+
+    FAULTS = ["--faults", "--kernels", "vector_sum,checksum",
+              "--fault-seed", "4", "--quiet"]
+
+    @staticmethod
+    def _report(path) -> dict:
+        return _timing_free(json.loads(Path(path).read_text()))
+
+    def test_faults_jobs_do_not_change_the_report(self, tmp_path):
+        from repro.verify.cli import main
+
+        serial, parallel = tmp_path / "serial.json", tmp_path / "par.json"
+        assert main([*self.FAULTS, "--no-journal", "--json",
+                     str(serial)]) == 0
+        assert main([*self.FAULTS, "--no-journal", "--jobs", "2", "--json",
+                     str(parallel)]) == 0
+        one, two = self._report(serial), self._report(parallel)
+        assert one["determinism_hash"] == two["determinism_hash"]
+        assert one == two
+
+    def test_interrupted_campaign_resumes_by_id(self, tmp_path, monkeypatch,
+                                               capsys):
+        from repro.faults import campaign as campaign_module
+        from repro.verify.cli import main
+
+        fresh = tmp_path / "fresh.json"
+        assert main([*self.FAULTS, "--no-journal", "--json",
+                     str(fresh)]) == 0
+        real = campaign_module._campaign_cell
+        executed = []
+
+        def interrupt_third(payload):
+            if len(executed) == 2:
+                raise KeyboardInterrupt  # Ctrl-C in the serial sweep
+            executed.append(payload[:3])
+            return real(payload)
+        monkeypatch.setattr(campaign_module, "_campaign_cell",
+                            interrupt_third)
+        capsys.readouterr()
+        code = main([*self.FAULTS, "--runs-root", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 130
+        assert err.count("python -m repro.verify --resume") == 1
+        run_id = err.split("--resume ")[1].split()[0]
+        done_before = list(executed)
+
+        # Resume by id alone: the recorded matrix rebuilds the campaign
+        # (kernels and seed), not the conformance matrix.
+        monkeypatch.setattr(campaign_module, "_campaign_cell",
+                            lambda payload: executed.append(payload[:3])
+                            or real(payload))
+        resumed = tmp_path / "resumed.json"
+        assert main(["--resume", run_id, "--runs-root", str(tmp_path),
+                     "--quiet", "--json", str(resumed)]) == 0
+        assert not set(executed[2:]) & set(done_before)
+        assert len(executed) == 4  # 2 kernels x 2 core counts
+        report = self._report(resumed)
+        assert report["schema"] == "repro.faults/v1"
+        assert report["seed"] == 4
+        assert report == self._report(fresh)
+
+    def test_explore_interrupt_names_resume_command_once(self, tmp_path,
+                                                        monkeypatch, capsys):
+        import repro.explore.runner as runner_module
+        from repro.explore.cli import main
+
+        def interrupt(payload):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(runner_module, "_spec_worker", interrupt)
+        code = main(["--kernels", "vector_sum", "--no-cache", "--no-wcet",
+                     "--runs-root", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 130
+        assert err.count("python -m repro.explore --resume") == 1

@@ -16,6 +16,7 @@ import pytest
 from repro import PatmosConfig, compile_and_link
 from repro.cmp import MulticoreSystem
 from repro.errors import VerificationError, WcetError
+from repro.jobs import RetryPolicy
 from repro.memory import TdmaSchedule
 from repro.sim.cycle import CycleSimulator
 from repro.verify import (
@@ -249,14 +250,13 @@ class TestParallelMatrix:
         # Forked pool workers call through _group_worker and inherit this.
         monkeypatch.setattr(harness_module, "_run_scenario_group",
                             die_on_target)
-        monkeypatch.setattr(harness_module, "_RETRY_BACKOFF_S", 0.0)
 
         report = run_conformance(kernels=["vector_sum"], jobs=2,
                                  rtos_scenarios=())
         assert len(report.failures) == 1
         cell = report.failures[0]
         assert cell.error == "WorkerCrashed"
-        assert cell.attempts == 1 + harness_module._MAX_GROUP_RETRIES
+        assert cell.attempts == RetryPolicy().max_attempts
         assert cell.context["scenarios"]  # which scenarios went missing
         # Every other group completed; only the poisoned one is absent.
         assert not any(o.variant == "conventional_icache"
