@@ -1,10 +1,10 @@
 """Whole-program analysis facts: one object bundling every derived result.
 
 ``program_facts(program)`` is the cached entry point used by the WCET
-analyzer, the verifier and the lint pass.  It runs, per top-level function
-(sub-functions created by the method-cache splitter are merged into their
-parent, mirroring the analyzer's own CFG construction so loop headers and
-edges line up):
+analyzer, the verifier and the lint pass.  Per top-level function it builds
+one CFG with :func:`repro.program.cfg.analysis_cfg` (the method-cache
+splitter's sub-functions merged into their parent), which the WCET analyzer
+later solves IPET over as well, and runs on it:
 
 1. the interval fixpoint (:mod:`repro.analysis.fixpoint`),
 2. loop-bound inference + the annotation audit
@@ -23,8 +23,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..isa.opcodes import Opcode
-from ..program.cfg import ControlFlowGraph
+from ..program.cfg import ControlFlowGraph, analysis_cfg
 from ..program.function import Function
 from ..program.program import Program
 from ..wcet.ipet import FlowConstraint
@@ -37,39 +36,6 @@ from .loopbounds import (
     audit_loop_bounds,
     infer_loop_bounds,
 )
-
-
-def merged_function(program: Program, function: Function) -> Function:
-    """Merge a function with its method-cache sub-functions for analysis.
-
-    Mirrors ``WcetAnalyzer._merged_function``: ``brcf`` transfers into a
-    sub-function become plain branches to its entry label, so both sides
-    build the same CFG (same block labels, same loop headers).
-    """
-    subfunctions = [
-        func for func in program.functions.values()
-        if func.is_subfunction and func.parent == function.name
-    ]
-    if not subfunctions:
-        return function
-    merged = function.copy()
-    entry_labels = {sub.name: sub.entry_block().label for sub in subfunctions}
-    for sub in subfunctions:
-        merged.blocks.extend(block.copy() for block in sub.blocks)
-    for block in merged.blocks:
-        rewritten = []
-        changed = False
-        for instr in block.instrs:
-            if instr.opcode is Opcode.BRCF and instr.target in entry_labels:
-                rewritten.append(instr.with_target(entry_labels[instr.target]))
-                changed = True
-            else:
-                rewritten.append(instr)
-        if changed:
-            bundles = block.bundles
-            block.instrs = rewritten
-            block.bundles = bundles
-    return merged
 
 
 @dataclass
@@ -147,13 +113,12 @@ def analyse_program(program: Program) -> ProgramFacts:
     for function in program.functions.values():
         if function.is_subfunction:
             continue
-        merged = merged_function(program, function)
-        cfg = ControlFlowGraph.build(merged)
+        cfg = analysis_cfg(program, function)
         fix = analyse_function(cfg, may_writes)
         inferred = infer_loop_bounds(cfg, fix)
         result.functions[function.name] = FunctionFacts(
             name=function.name,
-            function=merged,
+            function=cfg.function,
             cfg=cfg,
             fixpoint=fix,
             inferred_bounds=inferred,
@@ -185,6 +150,5 @@ __all__ = [
     "FunctionFacts",
     "ProgramFacts",
     "analyse_program",
-    "merged_function",
     "program_facts",
 ]

@@ -47,18 +47,13 @@ def may_write_summaries(program: Program) -> dict[str, ClobberSummary]:
     if graph.is_recursive():
         return {name: TOTAL_CLOBBER for name in names}
 
-    subfunctions: dict[str, list] = {}
-    for func in program.functions.values():
-        if func.is_subfunction and func.parent:
-            subfunctions.setdefault(func.parent, []).append(func)
-
     summaries: dict[str, ClobberSummary] = {}
     for name in graph.topological_order():
         func = program.functions[name]
         gprs: set[int] = set()
         preds: set[int] = set()
         total = False
-        for part in [func] + subfunctions.get(name, []):
+        for part in [func, *program.subfunctions(name)]:
             for instr in part.instructions():
                 gprs |= instr.gpr_defs()
                 preds |= instr.pred_defs()
@@ -75,9 +70,10 @@ def may_write_summaries(program: Program) -> dict[str, ClobberSummary]:
             else ClobberSummary(frozenset(gprs), frozenset(preds)))
     # Sub-functions are never call targets, but alias them to the parent's
     # summary so lookups by either name stay conservative and total.
-    for parent, subs in subfunctions.items():
-        for sub in subs:
-            summaries.setdefault(sub.name, summaries.get(parent, TOTAL_CLOBBER))
+    for func in program.functions.values():
+        if func.is_subfunction and func.parent:
+            summaries.setdefault(func.name,
+                                 summaries.get(func.parent, TOTAL_CLOBBER))
     for name in names:
         summaries.setdefault(name, TOTAL_CLOBBER)
     return summaries

@@ -115,8 +115,6 @@ class _LoopContext:
     loop: Loop
     tail: str
     entry_state: AbsState
-    idom: dict
-    innermost: dict
     gpr_defs: dict
     pred_defs: dict
     positions: dict
@@ -124,17 +122,6 @@ class _LoopContext:
     clobber_gprs: frozenset
     clobber_preds: frozenset
     clobber_total: bool
-
-
-def _dominates(idom: dict, a: str, b: str) -> bool:
-    node = b
-    while True:
-        if node == a:
-            return True
-        parent = idom.get(node)
-        if parent is None or parent == node:
-            return a == node
-        node = parent
 
 
 def _build_context(cfg: ControlFlowGraph, fix: FixpointResult,
@@ -165,12 +152,6 @@ def _build_context(cfg: ControlFlowGraph, fix: FixpointResult,
                 else:
                     clobber_gprs |= summary.gprs
                     clobber_preds |= summary.preds
-    innermost: dict[str, str] = {}
-    loops = cfg.natural_loops()
-    for label in cfg.function.block_labels():
-        containing = [lp for lp in loops if lp.contains(label)]
-        if containing:
-            innermost[label] = min(containing, key=lambda lp: len(lp.body)).header
     entry_state = fix.loop_entry_states.get(loop.header, AbsState())
     tail_block = cfg.function.block(tail)
     term = tail_block.terminator()
@@ -181,8 +162,7 @@ def _build_context(cfg: ControlFlowGraph, fix: FixpointResult,
             break
     return _LoopContext(
         cfg=cfg, fix=fix, loop=loop, tail=tail,
-        entry_state=entry_state, idom=cfg.dominators(),
-        innermost=innermost, gpr_defs=gpr_defs, pred_defs=pred_defs,
+        entry_state=entry_state, gpr_defs=gpr_defs, pred_defs=pred_defs,
         positions=positions, term_index=term_index,
         clobber_gprs=frozenset(clobber_gprs),
         clobber_preds=frozenset(clobber_preds),
@@ -198,13 +178,14 @@ def _once_per_iteration(ctx: _LoopContext, instr: Instruction) -> bool:
     if pos is None:
         return False
     label = pos[0]
-    if ctx.innermost.get(label) != ctx.loop.header:
+    inner = ctx.cfg.loop_of(label)
+    if inner is None or inner.header != ctx.loop.header:
         return False  # nested in an inner loop: may run many times
     if label == ctx.tail and pos[1] >= ctx.term_index:
         # In the tail's branch-delay region: its result is only visible to
         # the *next* iteration's branch decision.
         return False
-    return _dominates(ctx.idom, label, ctx.tail)
+    return ctx.cfg.dominates(label, ctx.tail)
 
 
 def _expand_literal(ctx: _LoopContext, pred: int, negated: bool,
@@ -381,7 +362,7 @@ def _atom_bound(ctx: _LoopContext, instr: Instruction,
     if upos[0] == cpos[0]:
         update_first = upos[1] < cpos[1]
     else:
-        update_first = _dominates(ctx.idom, upos[0], cpos[0])
+        update_first = ctx.cfg.dominates(upos[0], cpos[0])
     uoff = 0 if update_first else 1
 
     bound = _relation_bound(relation, unsigned, v0, limit, step, uoff)

@@ -19,6 +19,8 @@ Supervision model (``jobs > 1``):
   policy's deterministic capped exponential backoff) and *work-stolen* by
   whichever worker goes idle first — the supervisor also respawns a
   replacement into the vacant slot so the pool keeps its width;
+* a worker whose supervisor dies without a drain (SIGKILL) notices the
+  changed parent pid in its heartbeat thread and exits;
 * a cell that keeps killing workers past ``policy.max_attempts`` total
   executions is declared poisoned and recorded as a ``FailedCell`` instead
   of aborting the sweep;
@@ -44,6 +46,7 @@ KeyboardInterrupt drains in the same journal-consistent way).
 
 from __future__ import annotations
 
+import os
 import pickle
 import signal
 import threading
@@ -179,9 +182,14 @@ def _worker_main(slot: int, task_queue, results, heartbeats,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     stop = threading.Event()
+    supervisor = os.getppid()
 
     def beat() -> None:
         while not stop.is_set():
+            if os.getppid() != supervisor:
+                # The supervisor died without a drain (e.g. SIGKILL): nobody
+                # will lease another cell or read this one's result.
+                os._exit(1)
             heartbeats[slot] = time.monotonic()
             stop.wait(interval_s)
 

@@ -7,26 +7,35 @@ stack-cache analysis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import networkx as nx
-
 from ..errors import WcetError
+from .cfg import postorder, topological_sort
 from .program import Program
 
 
-@dataclass
 class CallGraph:
-    """Static call graph of a program (``call`` edges between functions)."""
+    """Static call graph of a program (``call`` edges between functions).
 
-    program: Program
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    ``edges`` are ``(caller, callee)`` pairs over the program's functions;
+    callee and caller lists keep their first-seen order.  The topological
+    order is computed once, at construction (``None`` when recursive).
+    """
+
+    def __init__(self, program: Program, edges: list[tuple[str, str]]):
+        self.program = program
+        callees: dict[str, dict[str, None]] = {
+            name: {} for name in program.functions}
+        callers: dict[str, dict[str, None]] = {
+            name: {} for name in program.functions}
+        for caller, callee in edges:
+            callees[caller][callee] = None
+            callers[callee][caller] = None
+        self._callees = {name: tuple(names) for name, names in callees.items()}
+        self._callers = {name: tuple(names) for name, names in callers.items()}
+        self._topological = topological_sort(self._callees, self._callees)
 
     @classmethod
     def build(cls, program: Program) -> "CallGraph":
-        cg = cls(program=program)
-        for func in program.functions.values():
-            cg.graph.add_node(func.name)
+        edges = []
         for func in program.functions.values():
             # Sub-functions created by the method-cache splitter share their
             # parent's frame and context; their calls are attributed to the
@@ -39,31 +48,30 @@ class CallGraph:
                 if callee not in program.functions:
                     raise WcetError(
                         f"{func.name} calls unknown function {callee!r}")
-                cg.graph.add_edge(caller, callee)
-        return cg
+                edges.append((caller, callee))
+        return cls(program, edges)
 
     def callees(self, name: str) -> list[str]:
-        return list(self.graph.successors(name))
+        return list(self._callees[name])
 
     def callers(self, name: str) -> list[str]:
-        return list(self.graph.predecessors(name))
+        return list(self._callers[name])
 
     def is_recursive(self) -> bool:
         """True if the call graph contains a cycle (direct or indirect recursion)."""
-        return not nx.is_directed_acyclic_graph(self.graph)
+        return self._topological is None
 
     def reachable_from(self, name: str) -> set[str]:
         """Functions reachable from ``name``, including itself."""
-        if name not in self.graph:
+        if name not in self._callees:
             return set()
-        return set(nx.descendants(self.graph, name)) | {name}
+        return set(postorder(self._callees, name))
 
     def topological_order(self, root: str | None = None) -> list[str]:
         """Callees-first order of functions (bottom-up over the call graph)."""
-        if self.is_recursive():
+        if self._topological is None:
             raise WcetError("call graph is recursive; no topological order exists")
-        order = list(nx.topological_sort(self.graph))
-        order.reverse()
+        order = self._topological[::-1]
         if root is not None:
             reachable = self.reachable_from(root)
             order = [name for name in order if name in reachable]

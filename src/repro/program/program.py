@@ -78,6 +78,11 @@ class Program:
     def entry_function(self) -> Function:
         return self.function(self.entry)
 
+    def subfunctions(self, name: str) -> list[Function]:
+        """Method-cache sub-functions split off function ``name``."""
+        return [func for func in self.functions.values()
+                if func.is_subfunction and func.parent == name]
+
     def data_item(self, name: str) -> DataItem:
         try:
             return self.data[name]

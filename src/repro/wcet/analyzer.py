@@ -26,7 +26,7 @@ from ..errors import ConfigError, WcetError
 from ..isa.opcodes import MemType, Opcode
 from ..memory.tdma import TdmaSchedule
 from ..program.callgraph import CallGraph
-from ..program.cfg import ControlFlowGraph
+from ..program.cfg import analysis_cfg
 from ..program.function import Function
 from ..program.linker import Image
 from .block_timing import BlockSummary, summarise_block
@@ -269,14 +269,13 @@ class WcetAnalyzer:
         per_function: dict[str, FunctionWcet] = {}
         function_wcet: dict[str, int] = {}
         order = call_graph.topological_order(root=entry)  # callees first
-        groups = self._analysis_groups()
         for name in order:
             function = self.program.function(name)
             if function.is_subfunction:
                 continue
             result = self._analyse_function(
-                function, groups.get(name, []), function_wcet, method_cache,
-                icache, static_cache, object_cache, stack_cache)
+                function, function_wcet, method_cache, icache, static_cache,
+                object_cache, stack_cache)
             per_function[name] = result
             function_wcet[name] = result.wcet_cycles
 
@@ -317,46 +316,6 @@ class WcetAnalyzer:
     # ------------------------------------------------------------------
     # Per-function analysis
     # ------------------------------------------------------------------
-
-    def _analysis_groups(self) -> dict[str, list[Function]]:
-        """Sub-functions grouped under their parent function."""
-        groups: dict[str, list[Function]] = {}
-        for function in self.program.functions.values():
-            if function.is_subfunction and function.parent:
-                groups.setdefault(function.parent, []).append(function)
-        return groups
-
-    def _merged_function(self, function: Function,
-                         subfunctions: list[Function]) -> Function:
-        """Merge a function with its sub-functions into one analysis CFG.
-
-        ``brcf`` transfers to a sub-function are rewritten to plain branches
-        to the sub-function's entry block so that the CFG sees them as
-        ordinary edges; the method-cache cost of the transfer is still charged
-        from the block summary (which is taken from the original blocks).
-        """
-        if not subfunctions:
-            return function
-        merged = function.copy()
-        entry_labels = {}
-        for sub in subfunctions:
-            entry_labels[sub.name] = sub.entry_block().label
-        for sub in subfunctions:
-            merged.blocks.extend(block.copy() for block in sub.blocks)
-        for block in merged.blocks:
-            rewritten = []
-            changed = False
-            for instr in block.instrs:
-                if instr.opcode is Opcode.BRCF and instr.target in entry_labels:
-                    rewritten.append(instr.with_target(entry_labels[instr.target]))
-                    changed = True
-                else:
-                    rewritten.append(instr)
-            if changed:
-                bundles = block.bundles
-                block.instrs = rewritten
-                block.bundles = bundles  # structure unchanged, keep schedule
-        return merged
 
     def _frame_words(self) -> dict[str, int]:
         """Words reserved by each function's sres (0 for frameless functions)."""
@@ -541,23 +500,26 @@ class WcetAnalyzer:
         return cost, callee_part
 
     def _analyse_function(self, function: Function,
-                          subfunctions: list[Function],
                           function_wcet: dict[str, int],
                           method_cache: MethodCacheAnalysis | None,
                           icache: ConventionalICacheAnalysis | None,
                           static_cache: StaticCacheAnalysis,
                           object_cache: ObjectCacheAnalysis,
                           stack_cache: StackCacheAnalysis) -> FunctionWcet:
-        merged = self._merged_function(function, subfunctions)
-        cfg = ControlFlowGraph.build(merged)
+        # The value analysis already built this function's CFG (with its
+        # sub-functions merged in); without it, build the same CFG here.
+        func_facts = (self._facts.function_facts(function.name)
+                      if self._facts is not None else None)
+        cfg = (func_facts.cfg if func_facts is not None
+               else analysis_cfg(self.program, function))
 
         block_costs: dict[str, int] = {}
         callee_total = 0
-        source_blocks = {block.label: (function, block) for block in function.blocks}
-        for sub in subfunctions:
-            for block in sub.blocks:
-                source_blocks[block.label] = (sub, block)
-        for label in merged.block_labels():
+        source_blocks = {}
+        for owner in [function, *self.program.subfunctions(function.name)]:
+            for block in owner.blocks:
+                source_blocks[block.label] = (owner, block)
+        for label in cfg.function.block_labels():
             owner, block = source_blocks[label]
             summary = summarise_block(owner, block)
             # Summaries carry the owner's name; the stack/frame and call costs
@@ -575,8 +537,6 @@ class WcetAnalyzer:
         # solve_ipet reads off the CFG itself.
         loop_bounds: dict[str, int] = {}
         flow_constraints = None
-        func_facts = (self._facts.function_facts(function.name)
-                      if self._facts is not None else None)
         if func_facts is not None:
             loop_bounds.update(func_facts.effective_bounds())
             flow_constraints = func_facts.flow_constraints()

@@ -510,3 +510,37 @@ class TestAnalyzerIntegration:
     def test_facts_cache_is_shared_per_program(self):
         kernel = build_kernel("vector_sum")
         assert program_facts(kernel.program) is program_facts(kernel.program)
+
+    def test_wcet_solves_over_the_value_analysis_cfgs(self, monkeypatch):
+        import repro.wcet.analyzer as analyzer
+
+        image, _ = compile_and_link(build_kernel("large_function").program)
+        program = image.program
+        assert program.subfunctions("big"), "kernel lost its sub-functions"
+        builds = []
+        build = ControlFlowGraph.build.__func__
+
+        def counting_build(cls, function):
+            builds.append(function.name)
+            return build(cls, function)
+
+        solved = []
+
+        def recording_solve(cfg, *args, **kwargs):
+            solved.append(cfg)
+            return solve_ipet(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(ControlFlowGraph, "build",
+                            classmethod(counting_build))
+        monkeypatch.setattr(analyzer, "solve_ipet", recording_solve)
+        for options in (WcetOptions(),
+                        WcetOptions(method_cache="always_miss")):
+            analyze_wcet(image, options=options)
+
+        top_level = [name for name, func in program.functions.items()
+                     if not func.is_subfunction]
+        assert sorted(builds) == sorted(top_level)
+        facts = program_facts(program)
+        shared = [facts.functions[cfg.function.name].cfg for cfg in solved]
+        assert len(solved) == 2 * len(top_level)
+        assert all(cfg is mine for cfg, mine in zip(solved, shared))

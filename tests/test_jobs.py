@@ -324,6 +324,30 @@ def _journal_counts(journal_path, state):
     return counts
 
 
+def _proc_stat(pid):
+    """``(state, ppid)`` of a live process, ``None`` once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    # The fields after the ")" that closes the command name start with
+    # the state and the parent pid.
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def _children(pid):
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit()
+            and (_proc_stat(entry) or (None, None))[1] == pid]
+
+
+def _alive(pid):
+    """True unless ``pid`` has exited (a zombie has exited, unreaped)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
 class TestCrashRecovery:
     """End-to-end: SIGKILL a sweep mid-run, resume it from the journal."""
 
@@ -394,6 +418,41 @@ class TestCrashRecovery:
         # (elapsed time aside, which the table does not contain).
         assert self._table_lines(resumed.stdout) == \
             self._table_lines(fresh.stdout)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads process state from /proc")
+    def test_workers_exit_when_supervisor_is_sigkilled(self, tmp_path):
+        env = self._env(tmp_path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.verify", "--jobs", "2",
+             "--no-journal", "--quiet"],
+            env=env, cwd=tmp_path, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 120.0
+            while len(workers) < 2 and time.monotonic() < deadline \
+                    and proc.poll() is None:
+                workers = _children(proc.pid)
+                time.sleep(0.02)
+            assert len(workers) >= 2, "the pool never started two workers"
+            proc.kill()
+            proc.wait(timeout=60)
+            # A few heartbeat intervals: each worker's heartbeat thread sees
+            # the changed parent pid on its next beat.
+            interval = RetryPolicy().heartbeat_interval_s
+            deadline = time.monotonic() + 15 * interval
+            while time.monotonic() < deadline \
+                    and any(_alive(pid) for pid in workers):
+                time.sleep(interval / 4)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_verify_resume_replays_done_cells(self, tmp_path):
         from repro.verify import (DEFAULT_ARBITERS, DEFAULT_VARIANTS,

@@ -1,14 +1,17 @@
 """Tests for the builder, CFG, call graph and linker."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import PatmosConfig
 from repro.errors import CompilerError, IsaError, LinkError, WcetError
 from repro.isa import Opcode
 from repro.program import (
+    BasicBlock,
     CallGraph,
     ControlFlowGraph,
     DataSpace,
+    Function,
     ProgramBuilder,
     link,
     parse_guard,
@@ -156,6 +159,165 @@ class TestControlFlowGraph:
             ControlFlowGraph.build(program.function("main"))
 
 
+@st.composite
+def _digraphs(draw):
+    """Successor lists over ``b0..bN-1`` (entry ``b0``), in draw order.
+
+    Duplicate edges, self-loops, unreachable blocks and irreducible
+    regions all occur.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    labels = [f"b{i}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=3 * n))
+    succs = {label: [] for label in labels}
+    for src, dst in pairs:
+        succs[labels[src]].append(labels[dst])
+    return succs
+
+
+def _cfg_of(succs):
+    function = Function("g", blocks=[BasicBlock(label) for label in succs])
+    return ControlFlowGraph(function, succs)
+
+
+def _oracle_dominators(succs, entry):
+    """Reachable set and full dominator sets, by the textbook iteration."""
+    reach = {entry}
+    stack = [entry]
+    while stack:
+        for succ in succs[stack.pop()]:
+            if succ not in reach:
+                reach.add(succ)
+                stack.append(succ)
+    preds = {node: {p for p in reach if node in succs[p]} for node in reach}
+    dom = {node: set(reach) for node in reach}
+    dom[entry] = {entry}
+    changed = True
+    while changed:
+        changed = False
+        for node in reach - {entry}:
+            new = {node} | set.intersection(*(dom[p] for p in preds[node]))
+            if new != dom[node]:
+                dom[node] = new
+                changed = True
+    return reach, dom
+
+
+class TestControlFlowGraphProperties:
+    """The one-pass CFG analysis against naive set-based definitions."""
+
+    @given(_digraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_analysis_matches_definitions(self, succs):
+        cfg = _cfg_of(succs)
+        labels = list(succs)
+        reach, dom = _oracle_dominators(succs, "b0")
+        edges = [(src, dst) for src in labels
+                 for dst in dict.fromkeys(succs[src])]
+        assert cfg.edges() == edges
+        assert cfg.reachable() == reach
+
+        # Dominance: a dominates b iff a is in b's dominator set (every
+        # block dominates itself, reachable or not).
+        for a in labels:
+            for b in labels:
+                expected = a == b or (b in reach and a in dom[b])
+                assert cfg.dominates(a, b) == expected, (a, b)
+        # The immediate dominator is the strict dominator with the most
+        # dominators of its own.
+        assert cfg.dominators() == {
+            node: max(dom[node] - {node}, key=lambda d: len(dom[d]))
+            for node in reach - {"b0"}}
+
+        # Back edges: edges whose head dominates their tail, in edge order.
+        back = [(tail, head) for tail, head in edges
+                if tail in reach and head in dom[tail]]
+        assert cfg.back_edges() == back
+
+        # Natural loops: per header, the header plus every block that
+        # reaches a back-edge tail without passing through the header.
+        expected_loops = {}
+        for tail, head in back:
+            body = expected_loops.setdefault(head, {head})
+            stack = [tail]
+            while stack:
+                node = stack.pop()
+                if node not in body:
+                    body.add(node)
+                    stack.extend(p for p in labels
+                                 if node in succs[p] and p != head)
+        loops = cfg.natural_loops()
+        assert [loop.header for loop in loops] == list(expected_loops)
+        for loop in loops:
+            assert loop.body == expected_loops[loop.header]
+            assert loop.back_edges == {e for e in back if e[1] == loop.header}
+        for label in labels:
+            containing = [loop for loop in loops if label in loop.body]
+            assert cfg.loop_nest_depth(label) == len(containing)
+            assert cfg.loop_of(label) == min(
+                containing, key=lambda loop: len(loop.body), default=None)
+
+        # Topological order of the forward-edge DAG, generation by
+        # generation (Kahn); none exists if forward edges close a cycle.
+        forward = [(src, dst) for src, dst in edges
+                   if src in reach and (src, dst) not in back]
+        generation = {}
+        remaining = set(reach)
+        level = 0
+        while True:
+            sources = {node for node in remaining
+                       if not any(dst == node and src in remaining
+                                  for src, dst in forward)}
+            if not sources:
+                break
+            generation.update(dict.fromkeys(sources, level))
+            remaining -= sources
+            level += 1
+        assert cfg.is_reducible() == (not remaining)
+        if remaining:
+            with pytest.raises(WcetError):
+                cfg.topological_order()
+            return
+        order = cfg.topological_order()
+        assert sorted(order) == sorted(reach)
+        position = {node: index for index, node in enumerate(order)}
+        assert all(position[src] < position[dst] for src, dst in forward)
+        levels = [generation[node] for node in order]
+        assert levels == sorted(levels)
+        # The first generation keeps block order.
+        assert order[:levels.count(0)] == [
+            label for label in labels if generation.get(label) == 0]
+
+    def test_two_entry_loop_is_irreducible(self):
+        cfg = _cfg_of({"entry": ["a", "b"], "a": ["b"], "b": ["a", "exit"],
+                       "exit": []})
+        assert not cfg.is_reducible()
+        assert cfg.back_edges() == []
+        assert cfg.natural_loops() == []
+        with pytest.raises(WcetError):
+            cfg.topological_order()
+
+    def test_queries_return_copies(self):
+        cfg = _cfg_of({"entry": ["loop"], "loop": ["loop", "exit"],
+                       "exit": []})
+        for query in (cfg.edges(), cfg.back_edges(), cfg.natural_loops(),
+                      cfg.topological_order(), cfg.successors("loop"),
+                      cfg.predecessors("loop")):
+            query.clear()
+        cfg.dominators().clear()
+        assert cfg.edges() == [("entry", "loop"), ("loop", "loop"),
+                               ("loop", "exit")]
+        assert cfg.back_edges() == [("loop", "loop")]
+        assert [loop.header for loop in cfg.natural_loops()] == ["loop"]
+        assert cfg.topological_order() == ["entry", "loop", "exit"]
+        assert cfg.successors("loop") == ["loop", "exit"]
+        assert cfg.predecessors("loop") == ["entry", "loop"]
+        assert cfg.dominators() == {"loop": "entry", "exit": "loop"}
+        assert isinstance(cfg.reachable(), frozenset)
+
+
 class TestCallGraph:
     def _call_chain(self):
         b = ProgramBuilder("p")
@@ -195,6 +357,42 @@ class TestCallGraph:
         order = cg.topological_order(root="main")
         assert order.index("leaf") < order.index("middle") < order.index("main")
 
+
+    def test_recursion_order_and_reachability_from_other_roots(self):
+        b = ProgramBuilder("p")
+        for name, callees in (("main", ["a", "b"]), ("a", ["c"]),
+                              ("b", ["c"]), ("c", []), ("d", ["a"])):
+            f = b.function(name)
+            for callee in callees:
+                f.call(callee)
+            if name == "main":
+                f.halt()
+            else:
+                f.ret()
+        cg = CallGraph.build(b.build())
+        assert not cg.is_recursive()
+        # Kahn generations (main, d), (b, a), (c), reversed: callees first.
+        assert cg.topological_order() == ["c", "a", "b", "d", "main"]
+        assert cg.topological_order(root="a") == ["c", "a"]
+        assert cg.topological_order(root="d") == ["c", "a", "d"]
+        assert cg.reachable_from("d") == {"d", "a", "c"}
+        assert cg.reachable_from("b") == {"b", "c"}
+        assert cg.reachable_from("nowhere") == set()
+        assert cg.callers("c") == ["a", "b"]
+
+        b = ProgramBuilder("q")
+        for name, callee in (("main", "x"), ("x", "y"), ("y", "x")):
+            f = b.function(name)
+            f.call(callee)
+            if name == "main":
+                f.halt()
+            else:
+                f.ret()
+        cg = CallGraph.build(b.build())
+        assert cg.is_recursive()
+        assert cg.reachable_from("y") == {"x", "y"}
+        with pytest.raises(WcetError):
+            cg.topological_order()
 
 class TestLinker:
     def test_linking_requires_scheduling(self):
