@@ -282,8 +282,9 @@ def analysis_cfg(program: Program, function: Function) -> ControlFlowGraph:
     The sub-functions' blocks are appended to a copy of ``function`` and
     every ``brcf`` into one of them becomes a plain branch to its entry
     label, so the CFG sees the transfers as ordinary edges.  The blocks keep
-    their schedules (the structure is unchanged), and the method-cache cost
-    of each transfer is charged from the original blocks.
+    their schedules, whose ``brcf`` still names the sub-function, so the
+    WCET analyzer charges each transfer's method-cache cost from the merged
+    blocks.
     """
     subfunctions = program.subfunctions(function.name)
     if not subfunctions:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..cmp.system import MulticoreSystem
@@ -264,11 +264,14 @@ class ConformanceHarness:
         self._images: dict[str, object] = {}
         self._expected: dict[str, list[int]] = {}
         #: (kernel, hardware, arbiter config) -> (per-core cycles,
-        #: system|None).  Keyed by the frozen ArbiterConfig value, not its
-        #: display name, so two configs that happen to share a name can
-        #: never reuse each other's simulation.
+        #: per-core analysis options of a multicore run | None).  Keyed by
+        #: the frozen ArbiterConfig value, not its display name, so two
+        #: configs that happen to share a name can never reuse each other's
+        #: simulation.  The simulated system itself (main memory and all)
+        #: is not kept.
         self._sims: dict[tuple[str, str, ArbiterConfig],
-                         tuple[list[int], Optional[MulticoreSystem]]] = {}
+                         tuple[list[int],
+                               Optional[list[Optional[WcetOptions]]]]] = {}
 
     # ------------------------------------------------------------------
 
@@ -282,8 +285,9 @@ class ConformanceHarness:
 
     def _simulate(self, kernel: str, variant: CacheModelVariant,
                   arbiter: ArbiterConfig
-                  ) -> tuple[list[int], Optional[MulticoreSystem]]:
-        """Per-core observed cycles (and the system, for multicore runs)."""
+                  ) -> tuple[list[int], Optional[list[Optional[WcetOptions]]]]:
+        """Per-core observed cycles and, for multicore runs, each core's
+        arbiter-aware analysis options before the variant's overrides."""
         key = (kernel, variant.hardware, arbiter)
         if key in self._sims:
             return self._sims[key]
@@ -306,7 +310,9 @@ class ConformanceHarness:
             for core in cmp_result.cores:
                 self._check_output(kernel, variant, arbiter, core.core_id,
                                    core.sim.output)
-            value = (cmp_result.observed_by_core(), system)
+            value = (cmp_result.observed_by_core(),
+                     [system.wcet_options_for_core(core.core_id)
+                      for core in cmp_result.cores])
         self._sims[key] = value
         return value
 
@@ -320,26 +326,28 @@ class ConformanceHarness:
                 f"functional mismatch — simulated output {observed[:4]} "
                 f"differs from reference {expected[:4]}")
 
-    def _wcet_options(self, variant: CacheModelVariant,
-                      arbiter: ArbiterConfig, core_id: int,
-                      system: Optional[MulticoreSystem]
+    def _wcet_options(self, variant: CacheModelVariant, core_id: int,
+                      core_options: Optional[list[Optional[WcetOptions]]]
                       ) -> Optional[WcetOptions]:
         overrides = dict(variant.wcet_overrides)
-        if system is not None:
-            return system.wcet_options_for_core(core_id, **overrides)
-        return WcetOptions(**overrides)
+        if core_options is None:
+            return WcetOptions(**overrides)
+        base = core_options[core_id]
+        # The variant's fields win over the simulated hierarchy's, as in
+        # MulticoreSystem.wcet_options_for_core; no bound stays no bound.
+        return None if base is None else replace(base, **overrides)
 
     # ------------------------------------------------------------------
 
     def run_scenario(self, scenario: Scenario) -> list[ScenarioOutcome]:
         """Run one scenario; returns one outcome per core."""
-        cycles_by_core, system = self._simulate(
+        cycles_by_core, core_options = self._simulate(
             scenario.kernel, scenario.variant, scenario.arbiter)
         image = self._image(scenario.kernel)
         outcomes = []
         for core_id, cycles in enumerate(cycles_by_core):
             options = self._wcet_options(
-                scenario.variant, scenario.arbiter, core_id, system)
+                scenario.variant, core_id, core_options)
             wcet = (None if options is None else
                     analyze_wcet(image, self.config, options=options)
                     .wcet_cycles)

@@ -18,7 +18,8 @@ breakdown that the experiments compare against cycle-accurate simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..config import DEFAULT_CONFIG, PatmosConfig
@@ -26,10 +27,10 @@ from ..errors import ConfigError, WcetError
 from ..isa.opcodes import MemType, Opcode
 from ..memory.tdma import TdmaSchedule
 from ..program.callgraph import CallGraph
-from ..program.cfg import analysis_cfg
+from ..program.cfg import ControlFlowGraph, analysis_cfg
 from ..program.function import Function
 from ..program.linker import Image
-from .block_timing import BlockSummary, summarise_block
+from .block_timing import BlockSummary, summarise_function
 from .cache_analysis import (
     ConventionalICacheAnalysis,
     MethodCacheAnalysis,
@@ -200,6 +201,36 @@ class WcetResult:
         for name, func in self.per_function.items():
             lines.append(f"  {name:24s}: {func.wcet_cycles} cycles")
         return "\n".join(lines)
+
+
+@dataclass
+class _CfgContext:
+    """The per-function work every analysis of one CFG shares.
+
+    ``summaries`` are the timing events of the CFG's blocks, built once
+    (sub-function blocks carry the parent's name) and never mutated.
+    ``solved`` maps the content of an IPET instance, ``(block costs, loop
+    bounds, flow constraints)``, to its solution; the analyzer hands out
+    copies only.
+    """
+
+    summaries: dict[str, BlockSummary]
+    solved: dict[tuple, IpetResult] = field(default_factory=dict)
+
+
+#: Context of each CFG the analyzer solved.  The CFG is held weakly, as
+#: :func:`repro.analysis.facts.program_facts` holds its program, so a
+#: context lives as long as the program whose value analysis built the CFG.
+_CONTEXTS: weakref.WeakKeyDictionary[ControlFlowGraph, _CfgContext] = \
+    weakref.WeakKeyDictionary()
+
+
+def _cfg_context(cfg: ControlFlowGraph) -> _CfgContext:
+    context = _CONTEXTS.get(cfg)
+    if context is None:
+        context = _CfgContext(summaries=summarise_function(cfg.function))
+        _CONTEXTS[cfg] = context
+    return context
 
 
 class WcetAnalyzer:
@@ -400,21 +431,23 @@ class WcetAnalyzer:
             self._wait_memo[words] = cached
         return cached
 
-    def _block_cost(self, summary: BlockSummary, function: Function,
+    def _block_cost(self, summary: BlockSummary, function_name: str,
                     function_wcet: dict[str, int],
                     method_cache: MethodCacheAnalysis | None,
                     icache: ConventionalICacheAnalysis | None,
                     static_cache: StaticCacheAnalysis,
                     object_cache: ObjectCacheAnalysis,
                     stack_cache: StackCacheAnalysis) -> tuple[int, int]:
-        """Worst-case cost of one block; returns ``(cost, callee_part)``."""
+        """Worst-case cost of one block of ``function_name`` (a top-level
+        function, whose frame its sub-functions share); returns
+        ``(cost, callee_part)``."""
         config = self.config
         cost = summary.bundles
         callee_part = 0
 
         if summary.indirect_calls:
             raise WcetError(
-                f"{summary.function}/{summary.label}: indirect calls (callr) "
+                f"{function_name}/{summary.label}: indirect calls (callr) "
                 "cannot be bounded without target annotations")
 
         # Per-transfer bus interference: every event passes the word count of
@@ -450,14 +483,14 @@ class WcetAnalyzer:
             if callee not in function_wcet:
                 raise WcetError(
                     f"callee {callee!r} analysed after its caller "
-                    f"{summary.function!r} (call-graph order error)")
+                    f"{function_name!r} (call-graph order error)")
             callee_part += function_wcet[callee]
             if method_cache is not None:
                 cost += transfer_event(method_cache.transfer_cost(callee),
                                        fill_words.get(callee, 0))
                 cost += transfer_event(
-                    method_cache.transfer_cost(summary.function),
-                    fill_words.get(summary.function, 0))
+                    method_cache.transfer_cost(function_name),
+                    fill_words.get(function_name, 0))
 
         # brcf into sub-functions (or other functions).
         for target in summary.brcf_targets:
@@ -487,12 +520,12 @@ class WcetAnalyzer:
             config.memory.transfer_cycles(1), 1)
 
         # Stack-control costs.
-        spill = stack_cache.spill_words.get(summary.function, 0)
+        spill = stack_cache.spill_words.get(function_name, 0)
         for _ in summary.sres_words:
             cost += transfer_event(config.memory.transfer_cycles(spill), spill)
         worst_fill = max(
             (words for (caller, _), words in stack_cache.fill_words.items()
-             if caller == summary.function), default=0)
+             if caller == function_name), default=0)
         for _ in summary.sens_words:
             cost += transfer_event(config.memory.transfer_cycles(worst_fill),
                                    worst_fill)
@@ -513,21 +546,12 @@ class WcetAnalyzer:
         cfg = (func_facts.cfg if func_facts is not None
                else analysis_cfg(self.program, function))
 
+        context = _cfg_context(cfg)
         block_costs: dict[str, int] = {}
         callee_total = 0
-        source_blocks = {}
-        for owner in [function, *self.program.subfunctions(function.name)]:
-            for block in owner.blocks:
-                source_blocks[block.label] = (owner, block)
-        for label in cfg.function.block_labels():
-            owner, block = source_blocks[label]
-            summary = summarise_block(owner, block)
-            # Summaries carry the owner's name; the stack/frame and call costs
-            # of sub-functions belong to the parent frame.
-            if owner.is_subfunction:
-                summary.function = function.name
+        for label, summary in context.summaries.items():
             cost, callee_part = self._block_cost(
-                summary, function, function_wcet, method_cache, icache,
+                summary, function.name, function_wcet, method_cache, icache,
                 static_cache, object_cache, stack_cache)
             block_costs[label] = cost + callee_part
             callee_total += callee_part
@@ -545,8 +569,15 @@ class WcetAnalyzer:
             for (func_name, label), bound in self.options.loop_bounds.items()
             if func_name == function.name
         })
-        ipet = solve_ipet(cfg, block_costs, loop_bounds,
-                          flow_constraints=flow_constraints)
+        key = (tuple(block_costs.items()), tuple(sorted(loop_bounds.items())),
+               tuple(flow_constraints or ()))
+        ipet = context.solved.get(key)
+        if ipet is None:
+            ipet = solve_ipet(cfg, block_costs, loop_bounds,
+                              flow_constraints=flow_constraints)
+            context.solved[key] = ipet
+        ipet = replace(ipet, block_counts=dict(ipet.block_counts),
+                       edge_counts=dict(ipet.edge_counts))
         return FunctionWcet(name=function.name, wcet_cycles=ipet.wcet,
                             ipet=ipet, block_costs=block_costs,
                             callee_cycles=callee_total)

@@ -2,10 +2,13 @@
 
 The classic IPET formulation bounds the WCET of a function by maximising
 ``sum(cost_b * x_b)`` over all block execution-count vectors ``x`` that
-satisfy flow conservation and loop-bound constraints.  The problem is an
-integer linear program; it is solved with :func:`scipy.optimize.milp`.  A
-pure longest-path solver for loop-free (DAG) control flow is also provided —
-it is both a fallback and a cross-check used by the test-suite.
+satisfy flow conservation and loop-bound constraints.  :func:`solve_ipet`
+answers a loop-free function whose flow facts name none of its edges by
+the longest entry-to-exit path, which is the exact optimum there and needs
+no solver.  Every other instance (loops, irreducible flow, flow facts) is
+an integer linear program solved with :func:`scipy.optimize.milp`.  The
+integer program on loop-free graphs is kept as the test-suite's oracle for
+the longest-path solver.
 """
 
 from __future__ import annotations
@@ -61,11 +64,33 @@ def _edges_with_virtuals(cfg: ControlFlowGraph) -> list[tuple[str, str]]:
     return edges
 
 
+def _result(cfg: ControlFlowGraph, edge_counts: dict[tuple[str, str], int],
+            wcet: int) -> IpetResult:
+    """An :class:`IpetResult` whose block counts sum each block's in-edges."""
+    reachable = cfg.reachable()
+    block_counts: dict[str, int] = {}
+    for (_, dst), count in edge_counts.items():
+        if dst in reachable:
+            block_counts[dst] = block_counts.get(dst, 0) + count
+    return IpetResult(wcet=wcet, block_counts=block_counts,
+                      edge_counts=edge_counts)
+
+
+def _constrains(cfg: ControlFlowGraph,
+                flow_constraints: list[FlowConstraint] | None) -> bool:
+    """True if a flow constraint names an edge the formulation contains."""
+    if not flow_constraints:
+        return False
+    edges = set(_edges_with_virtuals(cfg))
+    return any(edge in edges
+               for fact in flow_constraints for edge, _ in fact.terms)
+
+
 def solve_ipet(cfg: ControlFlowGraph, block_costs: dict[str, int],
                loop_bounds: dict[str, int] | None = None,
                flow_constraints: list[FlowConstraint] | None = None
                ) -> IpetResult:
-    """Solve the IPET ILP for one function.
+    """Solve the IPET problem for one function.
 
     ``block_costs`` maps block labels to their worst-case cost in cycles.
     ``loop_bounds`` maps loop-header labels to the maximum number of header
@@ -73,7 +98,22 @@ def solve_ipet(cfg: ControlFlowGraph, block_costs: dict[str, int],
     here or as a block annotation) are an error, because the ILP would be
     unbounded.  ``flow_constraints`` adds analysis-derived linear facts over
     edge counts (e.g. infeasible-path exclusions).
+
+    Loop-free control flow that no flow constraint touches is answered by
+    the longest entry-to-exit path, which is the exact optimum there; every
+    other instance is solved as an integer program.
     """
+    if (not cfg.back_edges() and cfg.is_reducible()
+            and not _constrains(cfg, flow_constraints)):
+        return _longest_path(cfg, block_costs)
+    return _solve_milp(cfg, block_costs, loop_bounds, flow_constraints)
+
+
+def _solve_milp(cfg: ControlFlowGraph, block_costs: dict[str, int],
+                loop_bounds: dict[str, int] | None = None,
+                flow_constraints: list[FlowConstraint] | None = None
+                ) -> IpetResult:
+    """The IPET integer program, solved with :func:`scipy.optimize.milp`."""
     loop_bounds = dict(loop_bounds or {})
     for loop in cfg.natural_loops():
         if loop.header not in loop_bounds:
@@ -158,26 +198,45 @@ def solve_ipet(cfg: ControlFlowGraph, block_costs: dict[str, int],
     edge_counts = {
         edge: int(round(result.x[index])) for edge, index in edge_index.items()
     }
-    block_counts: dict[str, int] = {}
-    for (src, dst), count in edge_counts.items():
-        if dst in reachable:
-            block_counts[dst] = block_counts.get(dst, 0) + count
-    wcet = int(round(-result.fun))
-    return IpetResult(wcet=wcet, block_counts=block_counts,
-                      edge_counts=edge_counts)
+    return _result(cfg, edge_counts, int(round(-result.fun)))
 
 
-def longest_path_dag(cfg: ControlFlowGraph, block_costs: dict[str, int]) -> int:
-    """Longest-path WCET for loop-free control flow (cross-check for IPET)."""
-    if cfg.back_edges():
-        raise WcetError("longest_path_dag requires loop-free control flow")
-    order = cfg.topological_order()
+def _longest_path(cfg: ControlFlowGraph,
+                  block_costs: dict[str, int]) -> IpetResult:
+    """The IPET optimum of loop-free control flow: one longest path.
+
+    The path runs from the entry to the costliest reachable exit.  Ties go
+    to the first predecessor, and the first exit, in CFG order.  The counts
+    have the integer program's keys (every reachable block, every edge of
+    the formulation) and are 1 on the path, 0 elsewhere.
+    """
     best: dict[str, int] = {}
-    for label in order:
-        preds = [p for p in cfg.predecessors(label) if p in best]
-        incoming = max((best[p] for p in preds), default=0)
+    via: dict[str, str] = {}
+    for label in cfg.topological_order():
+        for pred in cfg.predecessors(label):
+            if pred in best and (label not in via
+                                 or best[pred] > best[via[label]]):
+                via[label] = pred
+        incoming = best[via[label]] if label in via else 0
         best[label] = incoming + block_costs.get(label, 0)
     exits = [label for label in cfg.exits if label in best]
     if not exits:
-        raise WcetError(f"function {cfg.function.name} has no reachable exit")
-    return max(best[label] for label in exits)
+        raise WcetError(f"function {cfg.function.name} has no exit block")
+    last = max(exits, key=best.__getitem__)
+
+    path = [last]
+    while path[-1] in via:
+        path.append(via[path[-1]])
+    path.reverse()
+    taken = {(SOURCE, path[0]), (last, SINK), *zip(path, path[1:])}
+    edge_counts = {edge: int(edge in taken)
+                   for edge in _edges_with_virtuals(cfg)}
+    return _result(cfg, edge_counts, best[last])
+
+
+def longest_path_dag(cfg: ControlFlowGraph, block_costs: dict[str, int]) -> int:
+    """Longest-path WCET of loop-free control flow (``solve_ipet``'s DAG
+    solver, returning only the bound)."""
+    if cfg.back_edges():
+        raise WcetError("longest_path_dag requires loop-free control flow")
+    return _longest_path(cfg, block_costs).wcet

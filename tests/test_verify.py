@@ -8,7 +8,9 @@ simulator trips the property rather than a hand-picked example.
 """
 
 import dataclasses
+import gc
 import json
+import types
 from dataclasses import fields
 
 import pytest
@@ -17,7 +19,7 @@ from repro import PatmosConfig, compile_and_link
 from repro.cmp import MulticoreSystem
 from repro.errors import VerificationError, WcetError
 from repro.jobs import RetryPolicy
-from repro.memory import TdmaSchedule
+from repro.memory import MainMemory, TdmaSchedule
 from repro.sim.cycle import CycleSimulator
 from repro.verify import (
     DEFAULT_ARBITERS,
@@ -138,6 +140,27 @@ class TestHarness:
         assert len(harness._sims) == 2
         # Different slot geometry, different observed timing.
         assert ([o.cycles for o in first] != [o.cycles for o in second])
+
+    def test_simulation_memo_keeps_no_system(self):
+        """The memo keeps each co-simulation's cycles and analysis options,
+        not the system with its per-core main memory."""
+        harness = ConformanceHarness(config=CONFIG)
+        arbiter = ArbiterConfig("tdma2", kind="tdma", cores=2)
+        outcomes = harness.run_scenario(Scenario(
+            "vector_sum", CacheModelVariant("default"), arbiter))
+        assert len(outcomes) == 2 and len(harness._sims) == 1
+        seen = {id(harness._sims)}
+        stack = [harness._sims]
+        while stack:
+            obj = stack.pop()
+            assert not isinstance(obj, (MainMemory, MulticoreSystem)), obj
+            for child in gc.get_referents(obj):
+                # Follow data, not the classes, modules and code it names.
+                if (id(child) not in seen and not isinstance(
+                        child, (type, types.ModuleType, types.FunctionType,
+                                types.BuiltinFunctionType))):
+                    seen.add(id(child))
+                    stack.append(child)
 
     def test_functional_mismatch_raises(self):
         harness = ConformanceHarness(config=CONFIG)

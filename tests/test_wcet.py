@@ -1,7 +1,14 @@
 """Tests of the WCET analysis: IPET, cache analyses and whole-program bounds."""
 
-import pytest
+import copy
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.wcet.analyzer as analyzer
+import repro.wcet.block_timing as block_timing
+import repro.wcet.ipet as ipet
 from repro import (
     CompileOptions,
     CycleSimulator,
@@ -12,7 +19,8 @@ from repro import (
 from repro.config import MethodCacheConfig
 from repro.errors import WcetError
 from repro.memory import TdmaSchedule
-from repro.program import ControlFlowGraph
+from repro.analysis import program_facts
+from repro.program import BasicBlock, ControlFlowGraph, Function
 from repro.wcet import (
     WcetOptions,
     analyse_method_cache,
@@ -23,7 +31,9 @@ from repro.wcet import (
     solve_ipet,
     summarise_function,
 )
+from repro.wcet.ipet import SINK, SOURCE, FlowConstraint, _solve_milp
 from repro.workloads import (
+    build_kernel,
     build_call_tree,
     build_fir_filter,
     build_linear_search,
@@ -122,7 +132,97 @@ class TestIpet:
             f.halt()
         cfg = self._cfg(build)
         costs = {label: 3 for label in cfg.function.block_labels()}
-        assert longest_path_dag(cfg, costs) == solve_ipet(cfg, costs).wcet
+        assert longest_path_dag(cfg, costs) == _solve_milp(cfg, costs).wcet
+
+    def test_flow_facts_on_loop_free_flow_go_to_the_ilp(self, monkeypatch):
+        """A flow constraint on an existing edge of a loop-free CFG is not
+        dropped by the longest-path shortcut: the ILP solves it and the
+        constraint tightens the bound."""
+        def build(f):
+            f.emit("cmpineq", "p1", "r1", 0)
+            f.br("other", pred="p1")
+            f.li("r2", 1)
+            f.br("join")
+            f.label("other")
+            f.li("r3", 1)
+            f.label("join")
+            f.halt()
+        cfg = self._cfg(build)
+        costs = {label: 1 for label in cfg.function.block_labels()}
+        costs["other"] = 50
+        into_other = next(edge for edge in cfg.edges() if edge[1] == "other")
+        never = [FlowConstraint(terms=((into_other, 1.0),), upper=0.0)]
+        milp_calls = []
+
+        def recording_milp(*args, **kwargs):
+            milp_calls.append(args[0])
+            return _solve_milp(*args, **kwargs)
+
+        monkeypatch.setattr(ipet, "_solve_milp", recording_milp)
+        free = solve_ipet(cfg, costs)
+        assert milp_calls == []
+        pruned = solve_ipet(cfg, costs, flow_constraints=never)
+        assert milp_calls == [cfg]
+        assert pruned.wcet < free.wcet
+        assert pruned.block_counts["other"] == 0
+        assert pruned == _solve_milp(cfg, costs, flow_constraints=never)
+
+
+@st.composite
+def _dags(draw):
+    """A loop-free CFG over ``b0..bN-1`` (entry ``b0``, layout shuffled)
+    and costs for some of its blocks.
+
+    Edges run from lower to higher rank only; blocks no path from the
+    entry reaches, some with edges into reachable ones, occur.
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    rest = draw(st.permutations(range(1, n)))
+    layout = [f"b{i}" for i in (0, *rest)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=3 * n))
+    succs = {label: [] for label in layout}
+    for a, b in pairs:
+        if a != b:
+            succs[f"b{min(a, b)}"].append(f"b{max(a, b)}")
+    costs = draw(st.dictionaries(st.sampled_from(layout),
+                                 st.integers(0, 50)))
+    function = Function("dag", blocks=[BasicBlock(label)
+                                       for label in layout])
+    return ControlFlowGraph(function, succs), costs
+
+
+class TestLongestPath:
+    """The longest-path solver against the ILP oracle on random DAGs."""
+
+    @given(_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_ilp_and_returns_one_path(self, dag):
+        cfg, costs = dag
+        result = ipet._longest_path(cfg, costs)
+        oracle = _solve_milp(cfg, costs)
+        assert result.wcet == oracle.wcet
+        assert solve_ipet(cfg, costs) == result
+        assert longest_path_dag(cfg, costs) == result.wcet
+        # Same keys as the ILP: every reachable block, every edge.
+        assert result.block_counts.keys() == oracle.block_counts.keys()
+        assert result.edge_counts.keys() == oracle.edge_counts.keys()
+        # The taken edges chain into one source-to-sink path...
+        assert set(result.edge_counts.values()) <= {0, 1}
+        following = {src: dst for (src, dst), count
+                     in result.edge_counts.items() if count}
+        assert len(following) == sum(result.edge_counts.values())
+        path = [following.pop(SOURCE)]
+        while path[-1] != SINK:
+            path.append(following.pop(path[-1]))
+        assert not following
+        path.pop()
+        assert path[0] == cfg.entry and path[-1] in cfg.exits
+        # ...whose blocks are the ones counted, and whose costs sum to wcet.
+        assert result.block_counts == {label: int(label in path)
+                                       for label in result.block_counts}
+        assert sum(costs.get(label, 0) for label in path) == result.wcet
 
 
 class TestCacheAnalyses:
@@ -317,3 +417,90 @@ class TestWholeProgramBounds:
         result = analyze_wcet(image, config)
         assert result.wcet_cycles >= observed.cycles
         assert result.tightness(observed.cycles) < 1.2
+
+
+def _option_sets(program):
+    """Analysis options that change block costs and loop bounds, with a
+    repeat of the default."""
+    header = program_facts(program).functions["main"].cfg.natural_loops()[0]
+    return (WcetOptions(),
+            WcetOptions(method_cache="always_miss"),
+            WcetOptions(stack_cache="naive"),
+            WcetOptions(tdma=TdmaSchedule(num_cores=2, slot_cycles=20)),
+            WcetOptions(loop_bounds={("main", header.header): 40}),
+            WcetOptions())
+
+
+class TestPerCfgMemo:
+    """Block summaries and IPET solutions are shared by every analysis of
+    one program, without changing any bound."""
+
+    KERNELS = ("call_tree", "large_function")
+
+    def _images(self):
+        return [_compiled(build_kernel(name)) for name in self.KERNELS]
+
+    def test_bounds_equal_direct_solves(self):
+        for image in self._images():
+            facts = program_facts(image.program)
+            for options in _option_sets(image.program):
+                result = analyze_wcet(image, options=options)
+                for name, func in result.per_function.items():
+                    func_facts = facts.functions[name]
+                    bounds = func_facts.effective_bounds()
+                    bounds.update({
+                        label: bound for (owner, label), bound
+                        in options.loop_bounds.items() if owner == name})
+                    args = (func_facts.cfg, func.block_costs, bounds,
+                            func_facts.flow_constraints())
+                    assert func.ipet == solve_ipet(*args)
+                    assert func.wcet_cycles == _solve_milp(*args).wcet
+
+    def test_one_solve_per_distinct_instance(self, monkeypatch):
+        solved = []
+
+        def recording_solve(cfg, block_costs, loop_bounds=None,
+                            flow_constraints=None):
+            solved.append((cfg, tuple(block_costs.items()),
+                           tuple(sorted((loop_bounds or {}).items())),
+                           tuple(flow_constraints or ())))
+            return solve_ipet(cfg, block_costs, loop_bounds,
+                              flow_constraints=flow_constraints)
+
+        monkeypatch.setattr(analyzer, "solve_ipet", recording_solve)
+        for image in self._images():
+            for options in _option_sets(image.program):
+                analyze_wcet(image, options=options)
+        assert solved
+        assert len(solved) == len(set(solved))
+
+    def test_results_are_copies(self):
+        image = self._images()[0]
+        first = analyze_wcet(image)
+        expected = copy.deepcopy(first.per_function)
+        for func in first.per_function.values():
+            func.ipet.wcet = -1
+            func.ipet.block_counts.clear()
+            for edge in func.ipet.edge_counts:
+                func.ipet.edge_counts[edge] = 99
+        again = analyze_wcet(image)
+        assert again.per_function == expected
+
+    def test_blocks_summarised_once_per_program(self, monkeypatch):
+        summarised = Counter()
+        summarise = block_timing.summarise_block
+
+        def counting_summarise(function, block):
+            summarised[(function.name, block.label)] += 1
+            return summarise(function, block)
+
+        monkeypatch.setattr(block_timing, "summarise_block",
+                            counting_summarise)
+        for image in self._images():
+            summarised.clear()
+            for options in _option_sets(image.program):
+                analyze_wcet(image, options=options)
+            blocks = sum(len(function.blocks)
+                         for function in image.program.functions.values())
+            assert 0 < sum(summarised.values()) <= blocks
+            assert max(summarised.values()) == 1
